@@ -59,9 +59,15 @@ struct BenchArgs
                 args.jsonPath = argv[i] + 7;
             else if (std::strncmp(argv[i], "--profile=", 10) == 0)
                 args.profileDir = argv[i] + 10;
-            else
-                std::fprintf(stderr, "ignoring unknown option %s\n",
-                             argv[i]);
+            else {
+                std::fprintf(stderr,
+                             "unknown option %s\n"
+                             "usage: %s [--refs=N] [--scale=F] "
+                             "[--telemetry=DIR] [--json=FILE] "
+                             "[--profile=DIR]\n",
+                             argv[i], argv[0]);
+                std::exit(2);
+            }
         }
         return args;
     }

@@ -123,8 +123,7 @@ def check_profile_attribution(results):
         print("[SKIP] profile attribution: no feed_batch time "
               "recorded")
         return []
-    children = ("batch_admission", "shard_dispatch", "counter_merge",
-                "journal_replay")
+    children = ("batch_admission", "shard_dispatch", "counter_merge")
     attributed = sum(stages.get(name, 0) for name in children)
     share = attributed / total
     verdict = "OK" if 0.90 <= share <= 1.10 else "FAIL"

@@ -61,9 +61,15 @@ struct LoadArgs
                 args.socketPath = argv[i] + 9;
             else if (std::strncmp(argv[i], "--json=", 7) == 0)
                 args.jsonPath = argv[i] + 7;
-            else
-                std::fprintf(stderr, "ignoring unknown option %s\n",
-                             argv[i]);
+            else {
+                std::fprintf(stderr,
+                             "unknown option %s\n"
+                             "usage: %s [--clients=N] [--configs=M] "
+                             "[--refs=F] [--batch=B] [--socket=PATH] "
+                             "[--json=FILE]\n",
+                             argv[i], argv[0]);
+                std::exit(2);
+            }
         }
         if (args.clients == 0)
             args.clients = 1;

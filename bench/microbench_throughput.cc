@@ -189,8 +189,9 @@ main(int argc, char **argv)
                 }
             }
             // A short recorder+profiler run for the merged timeline:
-            // emulated spans (pids 0/1+) and emulator stage/shard
-            // spans (pid 99) in one chrome://tracing file.
+            // emulated spans (pids 0/1+) and emulator stage spans
+            // (pid 99) in one chrome://tracing file. A recorded board
+            // emulates inline, so there are no shard lanes.
             {
                 ies::MemoriesBoard board(config);
                 trace::FlightRecorder recorder(std::size_t{1} << 16);

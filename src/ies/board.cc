@@ -58,13 +58,13 @@ MemoriesBoard::MemoriesBoard(const BoardConfig &config, std::uint64_t seed)
         ev.board = boardId_;
         ev.arg0 = static_cast<std::uint8_t>(from);
         ev.arg1 = static_cast<std::uint8_t>(to);
-        recordBoardEvent(ev);
+        recorder_->record(ev);
         if (to == fault::HealthState::Degraded) {
-            raiseAnomaly(trace::AnomalyKind::HealthDegraded,
-                         healthCycle_, healthTraceId_);
+            recorder_->notifyAnomaly(trace::AnomalyKind::HealthDegraded,
+                                     healthCycle_, healthTraceId_);
         } else if (to == fault::HealthState::Quarantined) {
-            raiseAnomaly(trace::AnomalyKind::BoardQuarantined,
-                         healthCycle_, healthTraceId_);
+            recorder_->notifyAnomaly(trace::AnomalyKind::BoardQuarantined,
+                                     healthCycle_, healthTraceId_);
         }
     });
 
@@ -210,84 +210,50 @@ MemoriesBoard::resyncFrom(const MemoriesBoard &healthy)
 void
 MemoriesBoard::drainDue(Cycle now)
 {
-    if (batching_) {
-        // Batch path: pull everything due in one credit-earning pass
-        // and queue it per shard instead of emulating inline. This is
-        // the only per-tenure-frequency profiler hook, so it is
-        // sampled (1 in 2^6 timed) instead of paying a clock pair
-        // every call.
-        const std::size_t before = retireSlab_.size();
-        if (prof_) {
-            const std::uint64_t t0 =
-                prof_->sampledBegin(profile::Stage::CreditPacing);
-            buffer_.drainInto(now, retireSlab_);
-            prof_->sampledEnd(profile::Stage::CreditPacing, t0);
-        } else {
-            buffer_.drainInto(now, retireSlab_);
+    if (!batching_ || recorder_ || inlineEmulation_) {
+        // Inline: the recorder sees Retire and node events in serial
+        // order, and a pending scrub mutates state every shard would
+        // race on.
+        while (auto txn = buffer_.drain(now)) {
+            if (recorder_)
+                recorder_->record(
+                    makeEvent(trace::EventKind::Retire, *txn, now));
+            emulate(*txn);
         }
-        if (journaling_)
-            retireEvents_.resize(retireSlab_.size());
-        for (std::size_t k = before; k < retireSlab_.size(); ++k)
-            routeRetired(static_cast<std::uint32_t>(k), now);
+        if (inlineEmulation_)
+            inlineEmulation_ = anyNodeCorruption();
         return;
     }
-    while (auto txn = buffer_.drain(now)) {
-        if (recorder_)
-            recorder_->record(
-                makeEvent(trace::EventKind::Retire, *txn, now));
-        emulate(*txn);
+    // Queue everything due in one credit-earning pass. This is the
+    // only per-tenure-frequency profiler hook, so it is sampled (1 in
+    // 2^6 timed) instead of paying a clock pair every call.
+    const std::size_t before = retireSlab_.size();
+    if (prof_) {
+        const std::uint64_t t0 =
+            prof_->sampledBegin(profile::Stage::CreditPacing);
+        buffer_.drainInto(now, retireSlab_);
+        prof_->sampledEnd(profile::Stage::CreditPacing, t0);
+    } else {
+        buffer_.drainInto(now, retireSlab_);
+    }
+    if (shardCount_ > 1) {
+        for (std::size_t k = before; k < retireSlab_.size(); ++k)
+            buckets_[shardOf(retireSlab_[k].addr)].push_back(
+                static_cast<std::uint32_t>(k));
     }
 }
 
-void
-MemoriesBoard::routeRetired(std::uint32_t idx, Cycle now)
-{
-    const bus::BusTransaction &txn = retireSlab_[idx];
-    if (journaling_) {
-        JournalItem item;
-        item.kind = JournalItem::Kind::Retire;
-        item.ev = makeEvent(trace::EventKind::Retire, txn, now);
-        item.retireIdx = idx;
-        journal_.push_back(item);
-    }
-    if (inlineEmulation_) {
-        emulateRetirement(idx);
-        slabEmulated_ = idx + 1;
-    } else if (shardCount_ > 1) {
-        buckets_[shardOf(txn.addr)].push_back(idx);
-    }
-    // Single shard: the slab itself is the queue — dispatch walks the
-    // tail from slabEmulated_, so there is nothing to route here.
-}
-
-void
-MemoriesBoard::emulateRetirement(std::uint32_t idx)
-{
-    // Canonical counters, but events still defer to the journal slot
-    // so replay keeps them behind board events already journaled.
-    std::vector<EmuSink> sinks;
-    sinks.reserve(nodes_.size());
-    for (auto &node : nodes_) {
-        sinks.push_back(EmuSink{
-            node->counterData(), nullptr,
-            journaling_ ? &retireEvents_[idx] : nullptr});
-    }
-    emulateStep(retireSlab_[idx], sinks.data());
-    inlineEmulation_ = anyNodeCorruption();
-}
-
-bus::SnoopResponse
-MemoriesBoard::snoop(const bus::BusTransaction &txn)
+MemoriesBoard::Admission
+MemoriesBoard::admit(bus::BusTransaction &t, bool live)
 {
     // Address-filter FPGA: non-emulation operations (I/O register
     // accesses, interrupts, syncs) are dropped before they consume any
     // buffer space.
-    if (bus::isFilteredOp(txn.op)) {
+    if (bus::isFilteredOp(t.op)) {
         global_.bump(hFiltered_);
-        return bus::SnoopResponse::None;
+        return Admission::Filtered;
     }
 
-    bus::BusTransaction t = txn;
     fault::FaultInjector::StreamFaults stream;
     if (injector_)
         stream = injector_->onTenure(t);
@@ -305,9 +271,7 @@ MemoriesBoard::snoop(const bus::BusTransaction &txn)
     if (stream.drop) {
         // Injected DropReply: the board never saw this tenure.
         global_.bump(hFaultDropped_);
-        pending_.reset();
-        pendingRetried_ = false;
-        return bus::SnoopResponse::None;
+        return Admission::Skipped;
     }
 
     // Let the SDRAM side catch up to this bus cycle before judging
@@ -318,57 +282,57 @@ MemoriesBoard::snoop(const bus::BusTransaction &txn)
         // The board is off the bus until an operator resyncs it; keep
         // draining what it already holds, accept nothing new.
         global_.bump(hQuarantined_);
-        pending_.reset();
-        pendingRetried_ = false;
-        return bus::SnoopResponse::None;
+        return Admission::Skipped;
     }
 
     if (health_.sampledOut(t.addr, healthLineShift_)) {
         // Degraded: shed load by sampling lines instead of dropping
         // arbitrary tenures.
         global_.bump(hSampledOut_);
-        pending_.reset();
-        pendingRetried_ = false;
-        return bus::SnoopResponse::None;
+        return Admission::Skipped;
     }
 
     if (buffer_.size() >= buffer_.effectiveCapacity(t.cycle)) {
-        const fault::OverflowAction action = health_.onOverflow();
-        if (action == fault::OverflowAction::Shed) {
-            // Retry storm: back off the bus and drop the tenure
-            // instead of wedging the host.
-            global_.bump(hShed_);
-            pending_.reset();
-            pendingRetried_ = false;
-            if (recorder_) {
-                auto ev = makeEvent(trace::EventKind::BufferOverflow,
-                                    t, t.cycle);
-                ev.arg0 = 0;
-                recorder_->record(ev);
-                recorder_->notifyAnomaly(
-                    trace::AnomalyKind::TxnBufferOverflow, t.cycle,
-                    t.traceId);
-            }
-            return bus::SnoopResponse::None;
-        }
-        // The one non-passive behaviour the board has.
-        global_.bump(hRetriesPosted_);
-        pendingRetried_ = true;
-        pending_.reset();
+        // Either the one non-passive behaviour the board has (a retry)
+        // or, in a retry storm, backing off the bus and dropping the
+        // tenure instead of wedging the host.
+        const bool shed =
+            health_.onOverflow() == fault::OverflowAction::Shed;
+        global_.bump(shed ? hShed_ : hRetriesPosted_);
         if (recorder_) {
             auto ev = makeEvent(trace::EventKind::BufferOverflow, t,
                                 t.cycle);
-            ev.arg0 = 0; // retried, not dropped
+            ev.arg0 = live ? 0 : 1; // retried on the bus / fed and dropped
             recorder_->record(ev);
-            recorder_->notifyAnomaly(trace::AnomalyKind::TxnBufferOverflow,
-                                     t.cycle, t.traceId);
+            recorder_->notifyAnomaly(
+                live ? trace::AnomalyKind::TxnBufferOverflow
+                     : trace::AnomalyKind::FleetDrop,
+                t.cycle, t.traceId);
         }
-        return bus::SnoopResponse::Retry;
+        return shed ? Admission::Skipped : Admission::Overflow;
     }
 
-    pending_ = t;
-    pendingRetried_ = false;
-    return bus::SnoopResponse::None;
+    if (!live)
+        commit(t, t.cycle + 1);
+    return Admission::Accepted;
+}
+
+bus::SnoopResponse
+MemoriesBoard::snoop(const bus::BusTransaction &txn)
+{
+    bus::BusTransaction t = txn;
+    const Admission admission = admit(t, true);
+    if (admission == Admission::Filtered)
+        return bus::SnoopResponse::None;
+    // An accepted tenure commits in observeResult() once the response
+    // window shows no other agent retried it.
+    pendingRetried_ = admission == Admission::Overflow;
+    if (admission == Admission::Accepted)
+        pending_ = t;
+    else
+        pending_.reset();
+    return pendingRetried_ ? bus::SnoopResponse::Retry
+                           : bus::SnoopResponse::None;
 }
 
 void
@@ -405,8 +369,8 @@ MemoriesBoard::commit(const bus::BusTransaction &txn, Cycle event_cycle)
 {
     global_.bump(hCommitted_);
     if (recorder_)
-        recordBoardEvent(makeEvent(trace::EventKind::BoardCommit, txn,
-                                   event_cycle));
+        recorder_->record(makeEvent(trace::EventKind::BoardCommit, txn,
+                                    event_cycle));
     if (capture_)
         capture_->record(txn);
     if (injector_)
@@ -422,9 +386,9 @@ MemoriesBoard::commit(const bus::BusTransaction &txn, Cycle event_cycle)
             auto ev = makeEvent(trace::EventKind::BufferOverflow, txn,
                                 event_cycle);
             ev.arg0 = 2; // committed tenure lost in flight
-            recordBoardEvent(ev);
-            raiseAnomaly(trace::AnomalyKind::TxnBufferOverflow,
-                         event_cycle, txn.traceId);
+            recorder_->record(ev);
+            recorder_->notifyAnomaly(trace::AnomalyKind::TxnBufferOverflow,
+                                     event_cycle, txn.traceId);
         }
     }
 }
@@ -443,82 +407,18 @@ MemoriesBoard::applyCommitFaults(const bus::BusTransaction &txn)
         // queued behind it must land first; while the corruption
         // awaits its scrub, later retirements emulate inline on this
         // thread (the scrub mutates state every shard would race on).
-        flushEmulation();
+        dispatchBuckets();
         nodes_[faults.tagNode % nodes_.size()]->corruptLine(
             txn.addr, faults.tagBit);
-        if (batching_)
-            inlineEmulation_ = anyNodeCorruption();
+        inlineEmulation_ = anyNodeCorruption();
     }
 }
 
 bool
 MemoriesBoard::feedCommitted(const bus::BusTransaction &txn)
 {
-    if (bus::isFilteredOp(txn.op)) {
-        global_.bump(hFiltered_);
-        return true;
-    }
-
     bus::BusTransaction t = txn;
-    fault::FaultInjector::StreamFaults stream;
-    if (injector_)
-        stream = injector_->onTenure(t);
-    healthCycle_ = t.cycle;
-    healthTraceId_ = t.traceId;
-
-    global_.bump(hTenures_);
-    if (bus::isReadOp(t.op))
-        global_.bump(hReads_);
-    if (bus::isWriteIntentOp(t.op))
-        global_.bump(hWrites_);
-    if (t.op == bus::BusOp::WriteBack)
-        global_.bump(hWritebacks_);
-
-    if (stream.drop) {
-        global_.bump(hFaultDropped_);
-        return true;
-    }
-
-    drainDue(t.cycle);
-
-    if (health_.state() == fault::HealthState::Quarantined) {
-        global_.bump(hQuarantined_);
-        return true;
-    }
-
-    if (health_.sampledOut(t.addr, healthLineShift_)) {
-        global_.bump(hSampledOut_);
-        return true;
-    }
-
-    if (buffer_.size() >= buffer_.effectiveCapacity(t.cycle)) {
-        const fault::OverflowAction action = health_.onOverflow();
-        if (action == fault::OverflowAction::Shed) {
-            global_.bump(hShed_);
-            if (recorder_) {
-                auto ev = makeEvent(trace::EventKind::BufferOverflow,
-                                    t, t.cycle);
-                ev.arg0 = 1;
-                recordBoardEvent(ev);
-                raiseAnomaly(trace::AnomalyKind::FleetDrop, t.cycle,
-                             t.traceId);
-            }
-            return true;
-        }
-        global_.bump(hRetriesPosted_);
-        if (recorder_) {
-            auto ev = makeEvent(trace::EventKind::BufferOverflow, t,
-                                t.cycle);
-            ev.arg0 = 1; // fed tenure dropped, not retried on a bus
-            recordBoardEvent(ev);
-            raiseAnomaly(trace::AnomalyKind::FleetDrop, t.cycle,
-                         t.traceId);
-        }
-        return false;
-    }
-
-    commit(t, t.cycle + 1);
-    return true;
+    return admit(t, false) != Admission::Overflow;
 }
 
 void
@@ -547,8 +447,8 @@ MemoriesBoard::emulateStep(const bus::BusTransaction &txn,
     // (their combined emulated response is the "resulting state from
     // other cache nodes" input of the requester's protocol table),
     // then the owning node applies its requester transition. Each
-    // node's effects go to its sink — its own bank on the serial
-    // path, a shard replica plus deferred events under the pool.
+    // node's effects go to its sink — its own bank and the recorder
+    // inline, a counter replica under the pool.
     for (const MachineGroup &m : machines_) {
         NodeController *owner = nullptr;
         const EmuSink *owner_sink = nullptr;
@@ -569,101 +469,63 @@ MemoriesBoard::emulateStep(const bus::BusTransaction &txn,
 }
 
 void
-MemoriesBoard::runShardBucket(std::size_t shard)
+MemoriesBoard::emulateQueued(std::size_t shard)
 {
-    const std::vector<std::uint32_t> &bucket = buckets_[shard];
-    if (bucket.empty())
-        return;
-    std::vector<EmuSink> &sinks = shardSinks_[shard];
+    // A single shard walks the slab itself: its bucket would only ever
+    // hold 0, 1, 2, ...
+    const bool dense = shardCount_ == 1;
+    const std::uint32_t *bucket = buckets_[shard].data();
+    const std::size_t end =
+        dense ? retireSlab_.size() : buckets_[shard].size();
+    const EmuSink *sinks = shardSinks_[shard].data();
     // Pull the directory sets a few retirements ahead so the tag loads
     // overlap the current step's protocol work.
     constexpr std::size_t prefetch_dist = 8;
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-        if (i + prefetch_dist < bucket.size()) {
-            const Addr ahead = retireSlab_[bucket[i + prefetch_dist]].addr;
-            for (const auto &node : nodes_)
-                node->prefetchDirectory(ahead);
-        }
-        const std::uint32_t idx = bucket[i];
-        if (journaling_) {
-            std::vector<trace::LifecycleEvent> *slot =
-                &retireEvents_[idx];
-            for (EmuSink &sink : sinks)
-                sink.deferred = slot;
-        }
-        emulateStep(retireSlab_[idx], sinks.data());
-    }
-}
-
-void
-MemoriesBoard::runSlabTail()
-{
-    std::vector<EmuSink> &sinks = shardSinks_[0];
-    const std::size_t end = retireSlab_.size();
-    constexpr std::size_t prefetch_dist = 8;
-    for (std::size_t i = slabEmulated_; i < end; ++i) {
+    for (std::size_t i = 0; i < end; ++i) {
         if (i + prefetch_dist < end) {
-            const Addr ahead = retireSlab_[i + prefetch_dist].addr;
+            const std::size_t ahead = i + prefetch_dist;
+            const Addr addr =
+                retireSlab_[dense ? ahead : bucket[ahead]].addr;
             for (const auto &node : nodes_)
-                node->prefetchDirectory(ahead);
+                node->prefetchDirectory(addr);
         }
-        if (journaling_) {
-            std::vector<trace::LifecycleEvent> *slot = &retireEvents_[i];
-            for (EmuSink &sink : sinks)
-                sink.deferred = slot;
-        }
-        emulateStep(retireSlab_[i], sinks.data());
+        emulateStep(retireSlab_[dense ? i : bucket[i]], sinks);
     }
-    slabEmulated_ = end;
 }
 
 void
 MemoriesBoard::dispatchBuckets()
 {
-    if (shardCount_ == 1) {
-        const std::uint64_t items = static_cast<std::uint64_t>(
-            retireSlab_.size() - slabEmulated_);
-        shardItems_[0] += items;
-        if (prof_ && items > 0) {
-            const std::uint64_t disp_t0 = profile::Profiler::nowNs();
-            prof_->noteDispatch(disp_t0);
-            prof_->noteShardItems(0, items);
-            const std::uint64_t t0 = prof_->shardBegin(0);
-            runSlabTail();
-            prof_->shardEnd(0, t0);
-            prof_->recordStage(profile::Stage::ShardDispatch, disp_t0);
-        } else {
-            runSlabTail();
-        }
+    if (retireSlab_.empty())
         return;
-    }
-    bool any = false;
-    for (const auto &bucket : buckets_) {
-        if (!bucket.empty()) {
-            any = true;
-            break;
-        }
-    }
-    slabEmulated_ = retireSlab_.size();
-    if (!any)
-        return;
+    const auto items = [this](std::size_t shard) {
+        return shardCount_ > 1 ? buckets_[shard].size()
+                               : retireSlab_.size();
+    };
     for (std::size_t s = 0; s < shardCount_; ++s)
-        shardItems_[s] += buckets_[s].size();
+        shardItems_[s] += items(s);
+    std::uint64_t disp_t0 = 0;
     if (prof_) {
-        const std::uint64_t disp_t0 = profile::Profiler::nowNs();
+        disp_t0 = profile::Profiler::nowNs();
         prof_->noteDispatch(disp_t0);
         for (std::size_t s = 0; s < shardCount_; ++s)
-            prof_->noteShardItems(s, buckets_[s].size());
-        pool_->runAll([this](std::size_t shard) {
-            const std::uint64_t t0 = prof_->shardBegin(shard);
-            runShardBucket(shard);
-            prof_->shardEnd(shard, t0);
-        });
-        prof_->recordStage(profile::Stage::ShardDispatch, disp_t0);
-    } else {
-        pool_->runAll(
-            [this](std::size_t shard) { runShardBucket(shard); });
+            prof_->noteShardItems(s, items(s));
     }
+    const auto run = [this](std::size_t shard) {
+        const std::uint64_t t0 = prof_ ? prof_->shardBegin(shard) : 0;
+        emulateQueued(shard);
+        if (prof_)
+            prof_->shardEnd(shard, t0);
+    };
+    if (pool_)
+        pool_->runAll(run);
+    else
+        run(0);
+    if (prof_)
+        prof_->recordStage(profile::Stage::ShardDispatch, disp_t0);
+    retireSlab_.clear();
+    if (!pool_)
+        return;
     for (auto &bucket : buckets_)
         bucket.clear();
     // Fold the per-shard counter deltas into the node banks. Counter40
@@ -677,40 +539,11 @@ MemoriesBoard::dispatchBuckets()
 }
 
 void
-MemoriesBoard::flushEmulation()
-{
-    if (batching_)
-        dispatchBuckets();
-}
-
-void
-MemoriesBoard::replayJournal()
-{
-    for (const JournalItem &item : journal_) {
-        switch (item.kind) {
-        case JournalItem::Kind::Event:
-            recorder_->record(item.ev);
-            break;
-        case JournalItem::Kind::Anomaly:
-            recorder_->notifyAnomaly(item.anomaly, item.ev.cycle,
-                                     item.ev.traceId);
-            break;
-        case JournalItem::Kind::Retire:
-            recorder_->record(item.ev);
-            for (const auto &ev : retireEvents_[item.retireIdx])
-                recorder_->record(ev);
-            break;
-        }
-    }
-}
-
-void
 MemoriesBoard::rebuildSerialSinks()
 {
     serialSinks_.clear();
     for (auto &node : nodes_)
-        serialSinks_.push_back(
-            EmuSink{node->counterData(), recorder_, nullptr});
+        serialSinks_.push_back(EmuSink{node->counterData(), recorder_});
 }
 
 void
@@ -727,13 +560,13 @@ MemoriesBoard::rebuildShardScratch()
             if (shardCount_ > 1) {
                 shardCounters_[s].emplace_back(
                     nodes_[n]->counterCount());
-                shardSinks_[s].push_back(EmuSink{
-                    shardCounters_[s][n].data(), nullptr, nullptr});
+                shardSinks_[s].push_back(
+                    EmuSink{shardCounters_[s][n].data(), nullptr});
             } else {
                 // Single shard runs inline on the coordinator: write
                 // the node banks directly, nothing to fold.
-                shardSinks_[s].push_back(EmuSink{
-                    nodes_[n]->counterData(), nullptr, nullptr});
+                shardSinks_[s].push_back(
+                    EmuSink{nodes_[n]->counterData(), nullptr});
             }
         }
     }
@@ -811,103 +644,21 @@ MemoriesBoard::feedBatch(const bus::BusTransaction *txns,
         prof_->beginBatch(count > 0 ? txns[0].cycle : 0);
 
     batching_ = true;
-    journaling_ = recorder_ != nullptr;
     inlineEmulation_ = anyNodeCorruption();
-    retireSlab_.clear();
-    slabEmulated_ = 0;
-    retireEvents_.clear();
-    journal_.clear();
-
     std::size_t ok_count = 0;
-    const bool turbo =
-        injector_ == nullptr && recorder_ == nullptr &&
-        !health_.enabled();
-    if (!turbo) {
-        // Fault events must land in the journal, not the recorder, or
-        // replayed board events would reorder against them.
-        if (journaling_ && injector_) {
-            injector_->setEventSinks(
-                [this](const trace::LifecycleEvent &ev) {
-                    recordBoardEvent(ev);
-                },
-                [this](trace::AnomalyKind kind, Cycle cycle,
-                       std::uint32_t id) {
-                    raiseAnomaly(kind, cycle, id);
-                });
-        }
-        {
-            profile::ScopedStage admission_scope(
-                prof_, profile::Stage::BatchAdmission);
-            for (std::size_t i = 0; i < count; ++i) {
-                const bool ok = feedCommitted(txns[i]);
-                if (accepted)
-                    accepted[i] = ok;
-                ok_count += ok;
-            }
-        }
-        if (journaling_ && injector_)
-            injector_->setEventSinks({}, {});
-    } else {
-        // Hot path: no injector, no recorder, health disabled — the
-        // per-tenure hooks of feedCommitted are all no-ops, so tally
-        // the global counters in locals and fold them once (bump-by-1
-        // k times and add(k) agree modulo 2^40).
+    {
         profile::ScopedStage admission_scope(
             prof_, profile::Stage::BatchAdmission);
-        std::uint64_t n_tenures = 0, n_reads = 0, n_writes = 0;
-        std::uint64_t n_wb = 0, n_filtered = 0, n_committed = 0;
-        std::uint64_t n_retries = 0, n_lost = 0;
         for (std::size_t i = 0; i < count; ++i) {
-            const bus::BusTransaction &t = txns[i];
-            if (bus::isFilteredOp(t.op)) {
-                ++n_filtered;
-                if (accepted)
-                    accepted[i] = true;
-                ++ok_count;
-                continue;
-            }
-            ++n_tenures;
-            n_reads += bus::isReadOp(t.op);
-            n_writes += bus::isWriteIntentOp(t.op);
-            n_wb += t.op == bus::BusOp::WriteBack;
-            drainDue(t.cycle);
-            if (buffer_.size() >= buffer_.effectiveCapacity(t.cycle)) {
-                ++n_retries;
-                if (accepted)
-                    accepted[i] = false;
-                continue;
-            }
-            ++n_committed;
-            if (capture_)
-                capture_->record(t);
-            if (!buffer_.push(t))
-                ++n_lost; // unreachable: capacity checked at t.cycle
+            bus::BusTransaction t = txns[i];
+            const bool ok = admit(t, false) != Admission::Overflow;
             if (accepted)
-                accepted[i] = true;
-            ++ok_count;
+                accepted[i] = ok;
+            ok_count += ok;
         }
-        Counter40 *g = global_.data();
-        g[hTenures_].add(n_tenures);
-        g[hReads_].add(n_reads);
-        g[hWrites_].add(n_writes);
-        g[hWritebacks_].add(n_wb);
-        g[hFiltered_].add(n_filtered);
-        g[hCommitted_].add(n_committed);
-        g[hRetriesPosted_].add(n_retries);
-        g[hLostInflight_].add(n_lost);
     }
-
     dispatchBuckets();
     batching_ = false;
-    if (journaling_) {
-        profile::ScopedStage replay_scope(
-            prof_, profile::Stage::JournalReplay);
-        replayJournal();
-        journaling_ = false;
-    }
-    retireSlab_.clear();
-    retireEvents_.clear();
-    journal_.clear();
     if (prof_)
         prof_->endBatch(count > 0 ? txns[count - 1].cycle : 0,
                         prof_t0);
@@ -965,6 +716,13 @@ MemoriesBoard::reset()
         node->resetDirectory();
     if (capture_)
         capture_->reset();
+    buffer_.restoreState({});
+    health_.restoreState({});
+    pending_.reset();
+    pendingRetried_ = false;
+    healthCycle_ = 0;
+    healthTraceId_ = 0;
+    inlineEmulation_ = false;
 }
 
 std::string

@@ -100,16 +100,12 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
      * Batch replay path: feed @p count already-committed tenures in
      * one call. Bit-exact to calling feedCommitted() per element —
      * same counters, same pacing, same retirement order, same
-     * lifecycle-event bytes — but amortizes dispatch, defers
-     * retirement emulation into per-set-shard buckets, and (with a
-     * pool from enableSharding) runs those buckets on worker threads.
-     * Admission — credit pacing, capacity checks, health and fault
-     * hooks — always stays on the calling thread.
-     *
-     * When a flight recorder is attached, events are journaled during
-     * the batch and replayed into the recorder in serial order before
-     * returning, so the recorder (and any anomaly hooks it fires) sees
-     * byte-identical state to the serial path.
+     * lifecycle-event bytes, same checkpoint bytes. Admission runs the
+     * same code as feedCommitted(), on the calling thread. Retirement
+     * emulation is queued into per-set-shard buckets and (with a pool
+     * from enableSharding) run on worker threads, except while a
+     * flight recorder is attached or a tag flip awaits its scrub: then
+     * every retirement is emulated inline, in serial order.
      *
      * @param accepted Optional out array of @p count flags mirroring
      *        each feedCommitted() return value.
@@ -188,7 +184,13 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
     /** Clear all counters (node + global); keeps directories warm. */
     void clearCounters();
 
-    /** Cold-start every directory and clear counters. */
+    /**
+     * Cold-start the board: every directory, counter, the transaction
+     * buffer (entries, pacing credits, fault windows), the pending
+     * snoop and the health monitor return to their constructed values.
+     * Attachments (recorder, injector, profiler, telemetry) and the
+     * shard layout stay.
+     */
     void reset();
 
     /** Multi-line human-readable statistics dump (console "stats"). */
@@ -354,53 +356,47 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
         std::vector<std::uint8_t> nodes;
     };
 
-    /**
-     * One deferred recorder effect. While a batch is journaling,
-     * board-level events and anomalies append here instead of going to
-     * the recorder, and each Retire item points at the slot holding
-     * the node events its emulation produced; replayJournal() then
-     * feeds the recorder in exactly the order the serial path would
-     * have.
-     */
-    struct JournalItem
+    /** How admit() disposed of one tenure. */
+    enum class Admission : std::uint8_t
     {
-        enum class Kind : std::uint8_t { Event, Anomaly, Retire };
-        Kind kind = Kind::Event;
-        trace::LifecycleEvent ev;
-        trace::AnomalyKind anomaly{};
-        std::uint32_t retireIdx = 0;
+        Filtered, //!< not a memory op: dropped by the address filter
+        Skipped,  //!< fault drop, quarantine, sampled out, or shed
+        Overflow, //!< buffer full: a bus retry, or a dropped fed tenure
+        Accepted, //!< cleared every check
     };
+
+    /**
+     * The board's one admission pipeline (paper section 3): address
+     * filter, fault stream, global-event counters, injected drop,
+     * SDRAM catch-up, quarantine, degraded sampling, capacity check,
+     * commit. Stream faults rewrite @p t in place. A @p live tenure
+     * is not committed here but waits for its response window
+     * (snoop/observeResult); @p live also picks how an overflow is
+     * recorded: a bus retry (arg0 0, TxnBufferOverflow) or a dropped
+     * fed tenure (arg0 1, FleetDrop).
+     */
+    Admission admit(bus::BusTransaction &t, bool live);
 
     void emulate(const bus::BusTransaction &txn);
 
     /** One lock-step emulation step with per-node effect sinks. */
     void emulateStep(const bus::BusTransaction &txn,
                      const EmuSink *sinks);
+
+    /**
+     * Retire everything the SDRAM side owes by bus cycle @p now.
+     * Retirements are emulated inline for a single-tenure call, with a
+     * flight recorder attached, or while a tag flip awaits its scrub;
+     * otherwise they are queued in retireSlab_ (and the shard buckets).
+     */
     void drainDue(Cycle now);
 
-    /** Queue retired tenure @p idx of retireSlab_ (or emulate it
-     *  inline on this thread while a tag flip awaits its scrub). */
-    void routeRetired(std::uint32_t idx, Cycle now);
+    /** Worker body: emulate every queued retirement of @p shard. */
+    void emulateQueued(std::size_t shard);
 
-    /** Emulate one retirement inline: canonical counters, journal
-     *  slot for events. */
-    void emulateRetirement(std::uint32_t idx);
-
-    /** Worker body: emulate every bucketed retirement of @p shard. */
-    void runShardBucket(std::size_t shard);
-
-    /** Single-shard dispatch: emulate the un-emulated slab tail
-     *  [slabEmulated_, retireSlab_.size()) in retirement order. */
-    void runSlabTail();
-
-    /** Run all buckets to completion and fold counter replicas. */
+    /** Emulate everything queued, fold counter replicas, and empty
+     *  the queue. */
     void dispatchBuckets();
-
-    /** Drain queued emulation before code that reads directories. */
-    void flushEmulation();
-
-    /** Feed the journal to the recorder in serial order. */
-    void replayJournal();
 
     /** (Re)size buckets, counter replicas, and sink arrays. */
     void rebuildShardScratch();
@@ -414,36 +410,6 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
     {
         return static_cast<std::size_t>((addr >> shardShift_) &
                                         shardMask_);
-    }
-
-    /** Board-level event, journaling-aware (recorder_ checked by the
-     *  caller). */
-    void recordBoardEvent(const trace::LifecycleEvent &ev)
-    {
-        if (journaling_) {
-            JournalItem item;
-            item.kind = JournalItem::Kind::Event;
-            item.ev = ev;
-            journal_.push_back(item);
-        } else {
-            recorder_->record(ev);
-        }
-    }
-
-    /** Board-level anomaly, journaling-aware. */
-    void raiseAnomaly(trace::AnomalyKind kind, Cycle cycle,
-                      std::uint32_t trace_id)
-    {
-        if (journaling_) {
-            JournalItem item;
-            item.kind = JournalItem::Kind::Anomaly;
-            item.anomaly = kind;
-            item.ev.cycle = cycle;
-            item.ev.traceId = trace_id;
-            journal_.push_back(item);
-        } else {
-            recorder_->notifyAnomaly(kind, cycle, trace_id);
-        }
     }
 
     /**
@@ -515,22 +481,16 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
     unsigned shardShift_ = 0;   //!< address bit where the key starts
     std::uint64_t shardMask_ = 0;
     bool batching_ = false;     //!< inside a feedBatch call
-    bool journaling_ = false;   //!< batching with a recorder attached
     /** A tag flip awaits its scrub: emulate inline, coordinator only. */
     bool inlineEmulation_ = false;
-    /** Tenures retired this batch, in retirement order. */
+    /** Retirements queued for emulation, in retirement order. */
     std::vector<bus::BusTransaction> retireSlab_;
-    /** Slab entries already emulated (single-shard batches walk the
-     *  slab itself instead of filling a bucket with 0,1,2,...). */
-    std::size_t slabEmulated_ = 0;
-    /** Node events of each retirement (journaling batches only). */
-    std::vector<std::vector<trace::LifecycleEvent>> retireEvents_;
-    /** Per-shard retireSlab_ indices awaiting emulation. */
+    /** Per-shard retireSlab_ indices (sharded layouts only; a single
+     *  shard walks the slab itself). */
     std::vector<std::vector<std::uint32_t>> buckets_;
-    std::vector<JournalItem> journal_;
     /** [shard][node] counter deltas, folded wrap-correct at joins. */
     std::vector<std::vector<std::vector<Counter40>>> shardCounters_;
-    /** [shard][node] worker sinks (deferred slot set per retirement). */
+    /** [shard][node] worker sinks. */
     std::vector<std::vector<EmuSink>> shardSinks_;
     /** Always-on per-shard retirement counts (see shardOccupancy()). */
     std::vector<std::uint64_t> shardItems_;

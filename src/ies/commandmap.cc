@@ -121,7 +121,7 @@ makeP6BusCommandMap()
     cmap.map(0x09, bus::BusOp::IoWrite);
     cmap.map(0x0c, bus::BusOp::Interrupt);
     cmap.map(0x0d, bus::BusOp::Sync);       // fence
-    cmap.drop(0x0f);                        // deferred-reply phase
+    cmap.drop(0x0f);                        // split-reply phase
     return cmap;
 }
 

@@ -63,31 +63,22 @@ struct NodeStats
 /**
  * Where one emulation step sends its side effects: which Counter40
  * array to bump (the node's own bank, or a per-shard replica that the
- * board folds back wrap-correct at the batch barrier) and where
- * lifecycle events go (straight into a recorder on the serial path, or
- * into a per-retirement deferral buffer the coordinator replays in
- * serial order after the shard workers join). Counter handles index
+ * board folds back wrap-correct at the batch barrier) and which flight
+ * recorder, if any, receives lifecycle events. Only inline emulation
+ * records events; shard workers run with no recorder (the board never
+ * queues a retirement while one is attached). Counter handles index
  * both the bank and any replica identically.
  */
 struct EmuSink
 {
     Counter40 *counters = nullptr;
-    /** Record events directly (serial path). */
     trace::FlightRecorder *recorder = nullptr;
-    /** Defer events for in-order replay (shard-worker path). */
-    std::vector<trace::LifecycleEvent> *deferred = nullptr;
 
-    bool tracing() const
-    {
-        return recorder != nullptr || deferred != nullptr;
-    }
+    bool tracing() const { return recorder != nullptr; }
 
     void emit(const trace::LifecycleEvent &ev) const
     {
-        if (recorder)
-            recorder->record(ev);
-        else
-            deferred->push_back(ev);
+        recorder->record(ev);
     }
 
     void bump(CounterBank::Handle h, std::uint64_t n = 1) const
@@ -329,7 +320,7 @@ class NodeController
     /** The serial-path sink: own bank, attached recorder. */
     EmuSink defaultSink()
     {
-        return EmuSink{counters_.data(), recorder_, nullptr};
+        return EmuSink{counters_.data(), recorder_};
     }
 
     /** Build the common fields of a lifecycle event for @p txn. */

@@ -7,8 +7,7 @@
  * window, so any two tenures that could ever touch the same directory
  * set land in the same shard. Each shard's work is then embarrassingly
  * parallel: one persistent worker per shard walks its bucket, touching
- * only its own sets, its own counter replicas, and its own deferred
- * event slots (docs/SHARDING.md).
+ * only its own sets and its own counter replicas (docs/SHARDING.md).
  *
  * The pool is a plain fork-join barrier: runAll(fn) wakes every worker
  * to run fn(shard) once and blocks until the last one finishes.

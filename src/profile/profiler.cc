@@ -19,7 +19,6 @@ stageName(Stage stage)
       case Stage::ShardDispatch:  return "shard_dispatch";
       case Stage::ShardEmulation: return "shard_emulation";
       case Stage::CounterMerge:   return "counter_merge";
-      case Stage::JournalReplay:  return "journal_replay";
       case Stage::NumStages:      break;
     }
     return "?";
@@ -147,8 +146,7 @@ Profiler::endBatch(Cycle last_cycle, std::uint64_t root_t0)
     const Cycle end = std::max(last_cycle, begin);
     pushSpan(Stage::FeedBatch, 0, begin, end, wall);
     for (Stage s : {Stage::BatchAdmission, Stage::CreditPacing,
-                    Stage::ShardDispatch, Stage::CounterMerge,
-                    Stage::JournalReplay}) {
+                    Stage::ShardDispatch, Stage::CounterMerge}) {
         const std::uint64_t ns =
             stageCells_[static_cast<std::size_t>(s)].batchNs.load(
                 std::memory_order_relaxed);

@@ -8,9 +8,8 @@
  * aligned. This subsystem watches the *emulator*: where the wall-clock
  * nanoseconds of MemoriesBoard::feedBatch actually go, attributed to
  * the pipeline stages of the batch hot path (batch admission, credit
- * pacing, shard dispatch, per-shard emulation, counter merge, deferred
- * event replay) and to the ShardPool workers (busy time, items,
- * queue wait, imbalance).
+ * pacing, shard dispatch, per-shard emulation, counter merge) and to
+ * the ShardPool workers (busy time, items, queue wait, imbalance).
  *
  * Design rules, in the order they matter:
  *
@@ -64,11 +63,11 @@ namespace memories::profile
 
 /**
  * The pipeline stages of MemoriesBoard::feedBatch, in flamegraph
- * nesting order. FeedBatch is the root; BatchAdmission, ShardDispatch,
- * CounterMerge and JournalReplay are its children on the coordinating
- * thread; CreditPacing nests under admission; ShardEmulation is the
- * workers' busy time under dispatch (its total is the *sum* across
- * workers, so with real cores it can exceed the dispatch wall time).
+ * nesting order. FeedBatch is the root; BatchAdmission, ShardDispatch
+ * and CounterMerge are its children on the coordinating thread;
+ * CreditPacing nests under admission; ShardEmulation is the workers'
+ * busy time under dispatch (its total is the *sum* across workers, so
+ * with real cores it can exceed the dispatch wall time).
  */
 enum class Stage : std::uint8_t
 {
@@ -78,7 +77,6 @@ enum class Stage : std::uint8_t
     ShardDispatch,
     ShardEmulation,
     CounterMerge,
-    JournalReplay,
     NumStages,
 };
 
@@ -115,7 +113,7 @@ struct StageStats
 /** Read-side view of one shard's worker metrics. */
 struct ShardStats
 {
-    std::uint64_t busyNs = 0;      //!< wall ns inside runShardBucket
+    std::uint64_t busyNs = 0;      //!< wall ns inside emulateQueued
     std::uint64_t items = 0;       //!< retirements emulated
     std::uint64_t dispatches = 0;  //!< fork/join epochs participated in
     std::uint64_t queueWaitNs = 0; //!< fork-to-first-instruction delay

@@ -22,6 +22,7 @@
 #include "common/logging.hh"
 #include "ies/console.hh"
 #include "oracle/diff.hh"
+#include "testutil/temppath.hh"
 
 namespace memories::campaign
 {
@@ -33,10 +34,7 @@ class CampaignConsoleTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        dir_ = ::testing::TempDir() + "iescamp_console_" +
-               ::testing::UnitTest::GetInstance()
-                   ->current_test_info()
-                   ->name();
+        dir_ = test::uniqueTempPath("iescamp_console");
         std::filesystem::remove_all(dir_);
         registerConsoleCommands(console_);
     }

@@ -31,6 +31,7 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "oracle/diff.hh"
+#include "testutil/temppath.hh"
 
 namespace memories::campaign
 {
@@ -61,8 +62,7 @@ testPlan()
 std::string
 freshDir(const std::string &tag)
 {
-    const std::string dir = ::testing::TempDir() + "iescamp_kill_" +
-                            std::to_string(::getpid()) + "_" + tag;
+    const std::string dir = test::uniqueTempPath("iescamp_kill_" + tag);
     std::filesystem::remove_all(dir);
     ckpt::ensureDir(dir);
     return dir;

@@ -28,6 +28,7 @@
 #include "checkpoint/io.hh"
 #include "common/logging.hh"
 #include "oracle/diff.hh"
+#include "testutil/temppath.hh"
 
 namespace memories::campaign
 {
@@ -113,10 +114,7 @@ testPlan(std::uint64_t txns = 512, std::uint32_t every = 128)
 std::string
 freshDir(const std::string &tag)
 {
-    // Namespace by PID: ctest runs each test case as its own process,
-    // concurrently, and the golden dir would otherwise be shared.
-    const std::string dir = ::testing::TempDir() + "iescamp_resume_" +
-                            std::to_string(::getpid()) + "_" + tag;
+    const std::string dir = test::uniqueTempPath("iescamp_resume_" + tag);
     std::filesystem::remove_all(dir);
     ckpt::ensureDir(dir);
     return dir;

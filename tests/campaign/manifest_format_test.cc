@@ -21,6 +21,7 @@
 #include "checkpoint/codec.hh"
 #include "checkpoint/io.hh"
 #include "common/logging.hh"
+#include "testutil/temppath.hh"
 
 namespace memories::campaign
 {
@@ -48,10 +49,7 @@ class ManifestFormatTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        dir_ = ::testing::TempDir() + "iescamp_format_" +
-               ::testing::UnitTest::GetInstance()
-                   ->current_test_info()
-                   ->name();
+        dir_ = test::uniqueTempPath("iescamp_format");
         std::filesystem::remove_all(dir_);
         ckpt::ensureDir(dir_);
         path_ = Manifest::manifestPath(dir_);

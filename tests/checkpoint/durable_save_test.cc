@@ -24,6 +24,7 @@
 #include "common/random.hh"
 #include "ies/board.hh"
 #include "ies/boardconfig.hh"
+#include "testutil/temppath.hh"
 
 namespace memories::ckpt
 {
@@ -85,11 +86,7 @@ class DurableSaveTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        path_ = ::testing::TempDir() + "durable_save_" +
-                ::testing::UnitTest::GetInstance()
-                    ->current_test_info()
-                    ->name() +
-                ".ckpt";
+        path_ = test::uniqueTempPath("durable_save.ckpt");
         removeFileIfExists(path_);
         removeFileIfExists(path_ + ".tmp");
     }

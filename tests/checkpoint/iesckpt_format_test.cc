@@ -21,6 +21,7 @@
 #include "common/random.hh"
 #include "fault/injector.hh"
 #include "ies/board.hh"
+#include "testutil/temppath.hh"
 
 namespace memories::ies
 {
@@ -307,7 +308,7 @@ TEST(IesckptFormatTest, InjectorSeedMismatchFailsClosed)
 TEST(IesckptFormatTest, FileRoundTripMatchesByteRoundTrip)
 {
     const BoardConfig cfg = makeUniformBoard(2, 4, smallCache());
-    const std::string path = ::testing::TempDir() + "iesckpt_fmt.ckpt";
+    const std::string path = test::uniqueTempPath("iesckpt_fmt.ckpt");
     MemoriesBoard source(cfg);
     warmUp(source);
     source.saveState(path);

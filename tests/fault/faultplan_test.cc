@@ -14,6 +14,7 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "testutil/temppath.hh"
 
 namespace memories::fault
 {
@@ -124,7 +125,7 @@ TEST(FaultPlanTest, EmptyTextIsAnEmptyPlan)
 TEST(FaultPlanTest, LoadsFromDisk)
 {
     const std::string path =
-        ::testing::TempDir() + "faultplan_test.plan";
+        test::uniqueTempPath("faultplan_test.plan");
     std::FILE *f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
     const std::string text = "dropreply prob 0.25\nstall at 9 cycles 3\n";

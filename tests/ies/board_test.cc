@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "oracle/stimulus.hh"
 
 namespace memories::ies
 {
@@ -271,6 +272,51 @@ TEST(BoardTest, ResetColdStartsDirectories)
     board.reset();
     EXPECT_EQ(board.node(0).directoryOccupancy(), 0u);
     EXPECT_EQ(board.node(0).stats().localRefs, 0u);
+}
+
+TEST(BoardTest, ResetThenReplayMatchesAFreshBoard)
+{
+    // reset() must also rewind the buffer's pacing clock: a stream
+    // replayed from cycle 1 earns no drain credits while the buffer
+    // still remembers the last run's final cycle.
+    const BoardConfig cfg = makeUniformBoard(2, 4, smallCache());
+    oracle::StimulusParams p;
+    p.seed = 7;
+    p.count = 20000;
+    const auto txns = oracle::StimulusGen(p).generate();
+
+    MemoriesBoard fresh(cfg);
+    MemoriesBoard reused(cfg);
+    for (const auto &t : txns)
+        reused.feedCommitted(t);
+    reused.reset();
+    for (const auto &t : txns) {
+        fresh.feedCommitted(t);
+        reused.feedCommitted(t);
+    }
+
+    std::vector<std::uint64_t> fresh_counters, reused_counters;
+    fresh.globalCounters().snapshot([&](const CounterSample &s) {
+        fresh_counters.push_back(s.value);
+    });
+    reused.globalCounters().snapshot([&](const CounterSample &s) {
+        reused_counters.push_back(s.value);
+    });
+    for (std::size_t n = 0; n < cfg.nodes.size(); ++n) {
+        fresh.node(n).counters().snapshot([&](const CounterSample &s) {
+            fresh_counters.push_back(s.value);
+        });
+        reused.node(n).counters().snapshot([&](const CounterSample &s) {
+            reused_counters.push_back(s.value);
+        });
+        EXPECT_EQ(fresh.node(n).directorySnapshot(),
+                  reused.node(n).directorySnapshot())
+            << "node " << n;
+    }
+    EXPECT_EQ(fresh_counters, reused_counters);
+    EXPECT_EQ(fresh.retriesPosted(), reused.retriesPosted());
+    EXPECT_EQ(fresh.bufferRetired(), reused.bufferRetired());
+    EXPECT_EQ(fresh.bufferHighWater(), reused.bufferHighWater());
 }
 
 TEST(BoardTest, DumpStatsMentionsEveryNode)

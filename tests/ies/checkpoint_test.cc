@@ -12,6 +12,7 @@
 #include "common/random.hh"
 #include "ies/board.hh"
 #include "ies/console.hh"
+#include "testutil/temppath.hh"
 
 namespace memories::ies
 {
@@ -40,9 +41,7 @@ class CheckpointTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        path_ = ::testing::TempDir() + "board_state_" +
-                std::to_string(reinterpret_cast<std::uintptr_t>(this)) +
-                ".ies";
+        path_ = test::uniqueTempPath("board_state.ies");
     }
 
     void TearDown() override { std::remove(path_.c_str()); }

@@ -11,6 +11,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "testutil/temppath.hh"
+
 namespace memories::ies
 {
 namespace
@@ -19,15 +21,10 @@ namespace
 class ConsoleScriptTest : public ::testing::Test
 {
   protected:
-    void SetUp() override
-    {
-        dir_ = ::testing::TempDir();
-    }
-
     std::string
     writeFile(const std::string &name, const std::string &content)
     {
-        const std::string path = dir_ + name;
+        const std::string path = test::uniqueTempPath(name);
         std::ofstream out(path);
         out << content;
         return path;
@@ -41,8 +38,6 @@ class ConsoleScriptTest : public ::testing::Test
         ss << in.rdbuf();
         return ss.str();
     }
-
-    std::string dir_;
 };
 
 TEST_F(ConsoleScriptTest, ScriptExecutesAllCommands)
@@ -85,7 +80,7 @@ TEST_F(ConsoleScriptTest, MissingScriptIsAnError)
 
 TEST_F(ConsoleScriptTest, SaveProtocolRoundTrips)
 {
-    const std::string path = dir_ + "mesi.map";
+    const std::string path = test::uniqueTempPath("mesi.map");
     bus::Bus6xx bus;
     Console console(bus);
     console.execute("node 0 cache 2MB 4 128B");
@@ -101,7 +96,7 @@ TEST_F(ConsoleScriptTest, SaveProtocolRoundTrips)
 
 TEST_F(ConsoleScriptTest, SaveProtocolAfterInitUsesLiveBoard)
 {
-    const std::string path = dir_ + "live.map";
+    const std::string path = test::uniqueTempPath("live.map");
     bus::Bus6xx bus;
     Console console(bus);
     console.execute("node 0 cache 2MB 4 128B");
@@ -125,7 +120,7 @@ TEST_F(ConsoleScriptTest, SaveProtocolBadIndex)
 
 TEST_F(ConsoleScriptTest, ExportCsvWritesNodeRows)
 {
-    const std::string path = dir_ + "stats.csv";
+    const std::string path = test::uniqueTempPath("stats.csv");
     bus::Bus6xx bus;
     Console console(bus);
     console.execute("node 0 cache 2MB 4 128B");

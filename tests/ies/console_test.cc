@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "testutil/temppath.hh"
 #include "trace/tracefile.hh"
 
 namespace memories::ies
@@ -131,7 +132,7 @@ TEST(ConsoleTest, MultiNodeMultiProtocol)
 
 TEST(ConsoleTest, CaptureAndDumpTrace)
 {
-    const std::string path = ::testing::TempDir() + "console_trace.ies";
+    const std::string path = test::uniqueTempPath("console_trace.ies");
     bus::Bus6xx bus;
     Console console(bus);
     console.execute("node 0 cache 2MB 4 128B");
@@ -263,9 +264,9 @@ TEST(ConsoleTest, TraceCommandFamilyDrivesFlightRecorder)
     EXPECT_NE(shown.find("phase one done"), std::string::npos) << shown;
 
     const std::string dumpPath =
-        ::testing::TempDir() + "console_trace_dump.iesspan";
+        test::uniqueTempPath("console_trace_dump.iesspan");
     const std::string jsonPath =
-        ::testing::TempDir() + "console_trace_dump.json";
+        test::uniqueTempPath("console_trace_dump.json");
     console.execute("trace dump " + dumpPath);
     console.execute("trace chrome " + jsonPath);
     {
@@ -294,7 +295,7 @@ TEST(ConsoleTest, TraceAutodumpWritesRingOnAnomaly)
     // overflow anomaly; the armed autodump must leave the lifecycle
     // history on disk without any further operator action.
     const std::string dumpPath =
-        ::testing::TempDir() + "console_autodump.iesspan";
+        test::uniqueTempPath("console_autodump.iesspan");
     std::remove(dumpPath.c_str());
 
     bus::Bus6xx bus;
@@ -319,7 +320,7 @@ TEST(ConsoleTest, TraceAutodumpWritesRingOnAnomaly)
 TEST(ConsoleTest, FaultCommandFamilyArmsAndDisarms)
 {
     const std::string planPath =
-        ::testing::TempDir() + "console_fault.plan";
+        test::uniqueTempPath("console_fault.plan");
     {
         std::FILE *f = std::fopen(planPath.c_str(), "wb");
         ASSERT_NE(f, nullptr);
@@ -448,11 +449,11 @@ TEST(ConsoleTest, ProfCommandFamilyDrivesProfiler)
     EXPECT_NE(show.find("feed_batch"), std::string::npos) << show;
     EXPECT_NE(show.find("shard 0:"), std::string::npos) << show;
 
-    const std::string folded = ::testing::TempDir() + "console.folded";
+    const std::string folded = test::uniqueTempPath("console.folded");
     EXPECT_NE(console.execute("prof dump " + folded)
                   .find("wrote folded flamegraph stacks"),
               std::string::npos);
-    const std::string chrome = ::testing::TempDir() + "console.chrome";
+    const std::string chrome = test::uniqueTempPath("console.chrome");
     const auto reply = console.execute("prof chrome " + chrome);
     EXPECT_NE(reply.find("profiler spans as Chrome trace JSON"),
               std::string::npos)

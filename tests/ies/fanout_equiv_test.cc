@@ -23,6 +23,7 @@
 #include "host/machine.hh"
 #include "ies/board.hh"
 #include "ies/fanout.hh"
+#include "testutil/temppath.hh"
 #include "workload/synthetic.hh"
 
 namespace memories::ies
@@ -108,7 +109,7 @@ serialBaseline()
 {
     static const SerialBaseline baseline = [] {
         SerialBaseline out;
-        out.tracePath = ::testing::TempDir() + "fanout_equiv.trace";
+        out.tracePath = test::uniqueTempPath("fanout_equiv.trace");
         const auto cfgs = sweepConfigs();
         for (std::size_t i = 0; i < cfgs.size(); ++i) {
             BoardConfig cfg = cfgs[i];

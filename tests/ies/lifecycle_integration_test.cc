@@ -17,6 +17,7 @@
 #include "bus/bus6xx.hh"
 #include "ies/board.hh"
 #include "ies/fanout.hh"
+#include "testutil/temppath.hh"
 #include "trace/lifecycle.hh"
 #include "trace/tracefile.hh"
 
@@ -109,7 +110,7 @@ TEST(LifecycleIntegrationTest, ForcedOverflowAutoDumpsFullLifecycle)
     // hook then dumps the ring — the flight-recorder workflow the
     // console's `trace autodump` wires up.
     const std::string dumpPath =
-        ::testing::TempDir() + "lifecycle_autodump_test.iesspan";
+        test::uniqueTempPath("lifecycle_autodump_test.iesspan");
     std::remove(dumpPath.c_str());
 
     trace::FlightRecorder recorder(1 << 10);

@@ -6,7 +6,8 @@
  * is taken literally: every global and node counter, every node's
  * directorySnapshot(), the retirement order, the buffer statistics,
  * and the chrome-trace JSON rendered from the flight-recorder ring
- * must match, transaction stream for transaction stream.
+ * must match, and so must the board's full IESCKPT checkpoint image,
+ * transaction stream for transaction stream.
  *
  * Run under TSan (MEMORIES_SANITIZE=thread) this doubles as the data
  * race proof for the shard pool: docs/SHARDING.md documents the
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "checkpoint/file.hh"
 #include "ies/board.hh"
 #include "oracle/stimulus.hh"
 #include "trace/chrometrace.hh"
@@ -42,6 +44,8 @@ struct BoardSignature
     std::vector<std::uint32_t> retirementOrder;
     /** Chrome-trace JSON of the full recorder ring. */
     std::string chromeTrace;
+    /** The board's full IESCKPT image (saveState). */
+    std::vector<std::uint8_t> checkpoint;
 };
 
 BoardSignature
@@ -61,6 +65,9 @@ signatureOf(const MemoriesBoard &board,
     sig.bufferRetired = board.bufferRetired();
     sig.bufferSize = board.bufferSize();
     sig.bufferHighWater = board.bufferHighWater();
+    ckpt::CheckpointWriter writer;
+    board.saveState(writer);
+    sig.checkpoint = writer.bytes(board.config().fingerprint());
     if (recorder) {
         const auto events = recorder->snapshot();
         for (const auto &ev : events) {
@@ -90,6 +97,8 @@ expectIdentical(const BoardSignature &serial,
     EXPECT_EQ(serial.bufferHighWater, sharded.bufferHighWater) << what;
     EXPECT_EQ(serial.retirementOrder, sharded.retirementOrder) << what;
     EXPECT_EQ(serial.chromeTrace, sharded.chromeTrace) << what;
+    EXPECT_TRUE(serial.checkpoint == sharded.checkpoint)
+        << what << ": checkpoint images differ";
 }
 
 std::vector<bus::BusTransaction>

@@ -20,6 +20,7 @@
 #include "ies/board.hh"
 #include "oracle/diff.hh"
 #include "oracle/stimulus.hh"
+#include "testutil/temppath.hh"
 
 namespace memories::oracle
 {
@@ -52,9 +53,7 @@ class DiffFromCheckpointTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        path_ = ::testing::TempDir() + "diff_resume_" +
-                std::to_string(reinterpret_cast<std::uintptr_t>(this)) +
-                ".ckpt";
+        path_ = test::uniqueTempPath("diff_resume.ckpt");
     }
 
     void TearDown() override { std::remove(path_.c_str()); }

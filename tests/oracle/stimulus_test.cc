@@ -18,6 +18,7 @@
 
 #include "bus/busop.hh"
 #include "common/logging.hh"
+#include "testutil/temppath.hh"
 #include "trace/record.hh"
 
 namespace memories::oracle
@@ -152,7 +153,7 @@ TEST(StimulusTest, CanonicalStreamSurvivesTraceRoundTrip)
     }
 
     const std::string path =
-        ::testing::TempDir() + "stimulus_roundtrip.trace";
+        test::uniqueTempPath("stimulus_roundtrip.trace");
     writeTrace(path, canonical);
     const auto replayed = readTrace(path);
     std::remove(path.c_str());

@@ -185,8 +185,7 @@ TEST(ProfilerTest, BoardRunAttributesTimeToEveryHotStage)
     const std::uint64_t children =
         report.stage(Stage::BatchAdmission).estNs() +
         report.stage(Stage::ShardDispatch).estNs() +
-        report.stage(Stage::CounterMerge).estNs() +
-        report.stage(Stage::JournalReplay).estNs();
+        report.stage(Stage::CounterMerge).estNs();
     EXPECT_LT(children, total * 11 / 10);
 }
 
@@ -258,9 +257,25 @@ TEST(ProfilerTest, MergedTraceExtendsThePlainExportByteForByte)
     EXPECT_NE(merged.find("\"pid\":99"), std::string::npos);
     EXPECT_NE(merged.find("IESPROF (emulator)"), std::string::npos);
     EXPECT_NE(merged.find("\"feed_batch\""), std::string::npos);
-    EXPECT_NE(merged.find("\"shard 0\""), std::string::npos);
     // And the plain export never mentions any of it.
     EXPECT_EQ(plain.find("IESPROF"), std::string::npos);
+}
+
+TEST(ProfilerTest, MergedTraceGivesEveryBusyShardALane)
+{
+    Profiler prof;
+    prof.bindShards(2);
+    prof.beginBatch(0);
+    for (std::size_t shard = 0; shard < 2; ++shard) {
+        prof.noteShardItems(shard, 1);
+        // Back-date the busy t0 so the span is never 0 ns wide.
+        prof.shardEnd(shard, prof.shardBegin(shard) - 1000);
+    }
+    prof.endBatch(100, Profiler::nowNs() - 5000);
+    const std::string merged = mergedChromeTrace({}, prof);
+    EXPECT_NE(merged.find("\"shard 0\""), std::string::npos);
+    EXPECT_NE(merged.find("\"shard 1\""), std::string::npos);
+    EXPECT_EQ(merged.find("\"shard 2\""), std::string::npos);
 }
 
 TEST(ProfilerTest, MergedTraceWithNoLifecycleEventsIsStillValid)

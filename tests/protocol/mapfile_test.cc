@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "testutil/temppath.hh"
 
 namespace memories::protocol
 {
@@ -136,7 +137,7 @@ TEST(MapFileTest, BuiltinsRoundTripThroughMapText)
 
 TEST(MapFileTest, LoadFromDisk)
 {
-    const std::string path = ::testing::TempDir() + "proto.map";
+    const std::string path = test::uniqueTempPath("proto.map");
     {
         std::FILE *f = std::fopen(path.c_str(), "wb");
         ASSERT_NE(f, nullptr);

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "common/logging.hh"
+#include "testutil/temppath.hh"
 
 namespace memories::sim
 {
@@ -108,7 +109,7 @@ TEST(DetailedSimTest, EvictionsCounted)
 
 TEST(DetailedSimTest, RunTraceConsumesWholeFile)
 {
-    const std::string path = ::testing::TempDir() + "detailed_trace.ies";
+    const std::string path = test::uniqueTempPath("detailed_trace.ies");
     {
         trace::TraceWriter writer(path);
         for (int i = 0; i < 500; ++i) {

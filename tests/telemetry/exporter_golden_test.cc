@@ -16,6 +16,7 @@
 #include "common/counters.hh"
 #include "telemetry/histogram.hh"
 #include "telemetry/sampler.hh"
+#include "testutil/temppath.hh"
 
 namespace memories::telemetry
 {
@@ -118,7 +119,7 @@ TEST(ExporterGoldenTest, IdenticalRunsAreByteIdentical)
 TEST(ExporterGoldenTest, PrometheusExposition)
 {
     const std::string path =
-        testing::TempDir() + "memories_prom_test.prom";
+        test::uniqueTempPath("memories_prom_test.prom");
     PrometheusExporter prom(path);
 
     Sampler sampler(100);

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "common/logging.hh"
+#include "testutil/temppath.hh"
 #include "trace/tracefile.hh"
 
 namespace memories::trace
@@ -61,7 +62,7 @@ TEST(CaptureBufferTest, ResetClearsEverything)
 
 TEST(CaptureBufferTest, DumpToFileRoundTrips)
 {
-    const std::string path = ::testing::TempDir() + "capture_dump.ies";
+    const std::string path = test::uniqueTempPath("capture_dump.ies");
     CaptureBuffer buf(100);
     for (int i = 0; i < 50; ++i)
         buf.record(txnAt(0x4000u + 128u * i, 2u * i));

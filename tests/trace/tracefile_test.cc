@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "testutil/temppath.hh"
 
 namespace memories::trace
 {
@@ -17,9 +18,7 @@ class TraceFileTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        path_ = ::testing::TempDir() + "trace_test_" +
-                std::to_string(reinterpret_cast<std::uintptr_t>(this)) +
-                ".ies";
+        path_ = test::uniqueTempPath("trace_test.ies");
     }
 
     void TearDown() override { std::remove(path_.c_str()); }

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 
+#include "testutil/temppath.hh"
+
 namespace memories::trace
 {
 namespace
@@ -75,8 +77,8 @@ class TraceToolsTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        in_ = ::testing::TempDir() + "tracestats_in.ies";
-        out_ = ::testing::TempDir() + "tracestats_out.ies";
+        in_ = test::uniqueTempPath("tracestats_in.ies");
+        out_ = test::uniqueTempPath("tracestats_out.ies");
         TraceWriter writer(in_);
         for (int i = 0; i < 100; ++i) {
             writer.append(txn(0x1000u + 128u * i,
