@@ -1,6 +1,9 @@
 #include "ies/console.hh"
 
+#include <array>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <iomanip>
 #include <map>
 #include <sstream>
@@ -117,15 +120,39 @@ struct ConsoleMonitor
 namespace
 {
 
-std::vector<std::string>
-tokenize(const std::string &line)
+/** The classic locale's whitespace: ' ' and '\t' '\n' '\v' '\f' '\r'. */
+constexpr std::array<bool, 256> separators = [] {
+    std::array<bool, 256> table{};
+    for (const char c : {' ', '\t', '\n', '\v', '\f', '\r'})
+        table[static_cast<unsigned char>(c)] = true;
+    return table;
+}();
+
+bool
+isSeparator(char c)
 {
-    std::vector<std::string> tokens;
-    std::istringstream is(line);
-    std::string tok;
-    while (is >> tok)
-        tokens.push_back(tok);
-    return tokens;
+    return separators[static_cast<unsigned char>(c)];
+}
+
+/**
+ * Skip from @p p toward @p end, 8 bytes at a time, past words that
+ * cannot hold a separator. Every separator is below 0x21, and the
+ * word test below is true exactly when some byte of the word is below
+ * 0x21. Stops at the first word that might hold a separator, or where
+ * fewer than 8 bytes are left; the caller scans on byte by byte.
+ */
+const char *
+skipLongRun(const char *p, const char *end)
+{
+    constexpr std::uint64_t ones = 0x0101010101010101ULL;
+    while (end - p >= 8) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, p, sizeof word);
+        if (((word - ones * 0x21) & ~word & ones * 0x80) != 0)
+            break;
+        p += 8;
+    }
+    return p;
 }
 
 /** Parse an unsigned decimal token; fatal() on anything else. */
@@ -164,6 +191,32 @@ parseCpuList(const std::string &text)
 }
 
 } // namespace
+
+void
+splitTokens(std::string_view line, std::vector<std::string> &tokens)
+{
+    // One pass; no counting pass to size the vector first, because
+    // on a feed line that second scan costs as much as the split.
+    std::size_t count = 0;
+    const char *p = line.data();
+    const char *const end = p + line.size();
+    for (;;) {
+        while (p != end && isSeparator(*p))
+            ++p;
+        if (p == end)
+            break;
+        const char *const start = p;
+        p = skipLongRun(p, end);
+        while (p != end && !isSeparator(*p))
+            ++p;
+        if (count < tokens.size())
+            tokens[count].assign(start, p);
+        else
+            tokens.emplace_back(start, p);
+        ++count;
+    }
+    tokens.resize(count);
+}
 
 Console::Console(bus::Bus6xx &bus) : bus_(bus)
 {
@@ -244,8 +297,16 @@ Console::registerCommand(const std::string &name,
 std::string
 Console::execute(const std::string &command_line)
 {
+    std::vector<std::string> tokens;
+    splitTokens(command_line, tokens);
+    return execute(tokens);
+}
+
+std::string
+Console::execute(const std::vector<std::string> &tokens)
+{
     try {
-        return handle(tokenize(command_line));
+        return handle(tokens);
     } catch (const FatalError &err) {
         return std::string("error: ") + err.what();
     } catch (const std::exception &err) {

@@ -68,6 +68,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bus/bus6xx.hh"
@@ -82,6 +83,17 @@ namespace memories::ies
 /** Monitor-session state (sampler + live view); see console.cc. */
 struct ConsoleMonitor;
 
+/**
+ * Split @p line into tokens exactly as repeated
+ * `std::istream >> std::string` does in the classic locale: the six
+ * separators are ' ', '\t', '\n', '\v', '\f' and '\r', a run of them
+ * counts as one, and leading or trailing ones make no empty token.
+ * @p tokens ends up holding exactly the tokens; the strings it
+ * already holds are overwritten in place, so a caller that reuses one
+ * vector across lines of the same shape allocates nothing per token.
+ */
+void splitTokens(std::string_view line, std::vector<std::string> &tokens);
+
 /** Text-command console controlling one board on one host bus. */
 class Console
 {
@@ -93,6 +105,14 @@ class Console
 
     /** Execute one command line; returns the console's reply text. */
     std::string execute(const std::string &command_line);
+
+    /**
+     * Execute a command line already split by splitTokens(); the reply
+     * is what execute() of the line itself gives. Callers that must
+     * look at the tokens themselves (the IESSERV session) split once
+     * and hand them over here.
+     */
+    std::string execute(const std::vector<std::string> &tokens);
 
     /** True once init has built and attached the board. */
     bool initialized() const { return board_ != nullptr; }

@@ -60,13 +60,19 @@ ServiceClient::connect(const std::string &socket_path, int retry_ms)
 Reply
 ServiceClient::exec(const std::string &line)
 {
+    return roundTrip(line + "\n");
+}
+
+Reply
+ServiceClient::roundTrip(const std::string &request)
+{
     Reply failed;
     failed.ok = false;
     if (!channel_) {
         failed.lines = {"transport: not connected"};
         return failed;
     }
-    if (!channel_->writeAll(line + "\n")) {
+    if (!channel_->writeAll(request)) {
         channel_.reset();
         failed.lines = {"transport: connection lost (write)"};
         return failed;
@@ -90,29 +96,30 @@ ServiceClient::feedAll(const std::vector<bus::BusTransaction> &txns,
     if (batch == 0)
         batch = 1;
 
-    // Pre-pack the whole stream once: a back-pressured tail is re-sent
-    // verbatim, so the hex tokens must not depend on how the stream
-    // ends up being windowed.
-    std::vector<std::string> hex;
-    hex.reserve(txns.size());
+    // Pre-pack the whole stream once, as one string of " <hex16>"
+    // records: a back-pressured tail is re-sent verbatim, so the
+    // tokens must not depend on how the stream ends up being windowed,
+    // and every feed line is "feed" plus one contiguous slice of it.
+    constexpr std::size_t recordBytes = 17;
+    std::string packed;
+    packed.reserve(txns.size() * recordBytes);
     Cycle prev = prevCycle_;
     for (const auto &txn : txns) {
-        hex.push_back(encodeRecordHex(
-            trace::BusRecord::pack(txn, prev).raw));
+        packed += ' ';
+        appendRecordHex(packed, trace::BusRecord::pack(txn, prev).raw);
         prev = txn.cycle;
     }
 
+    std::string line;
     std::size_t next = 0;
     int zeroProgress = 0;
-    while (next < hex.size() && channel_) {
-        const std::size_t n = std::min(batch, hex.size() - next);
-        std::string line = "feed";
-        for (std::size_t i = 0; i < n; ++i) {
-            line += ' ';
-            line += hex[next + i];
-        }
+    while (next < txns.size() && channel_) {
+        const std::size_t n = std::min(batch, txns.size() - next);
+        line.assign("feed");
+        line.append(packed, next * recordBytes, n * recordBytes);
+        line += '\n';
         const auto sent = std::chrono::steady_clock::now();
-        const Reply reply = exec(line);
+        const Reply reply = roundTrip(line);
         if (latencies_us)
             latencies_us->push_back(
                 std::chrono::duration<double, std::micro>(

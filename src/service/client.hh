@@ -93,6 +93,9 @@ class ServiceClient
     void setChainCycle(Cycle cycle) { prevCycle_ = cycle; }
 
   private:
+    /** exec() of a request that already ends in '\n'. */
+    Reply roundTrip(const std::string &request);
+
     std::unique_ptr<LineChannel> channel_;
     std::string greeting_;
     Cycle prevCycle_ = 0; //!< pack-side mirror of the session chain

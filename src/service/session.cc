@@ -32,17 +32,6 @@ validateName(const std::string &name)
         fatal("session name may not start with '.'");
 }
 
-std::vector<std::string>
-tokenize(const std::string &line)
-{
-    std::vector<std::string> tokens;
-    std::istringstream is(line);
-    std::string token;
-    while (is >> token)
-        tokens.push_back(token);
-    return tokens;
-}
-
 std::uint64_t
 parseField(const std::string &line, const std::string &key)
 {
@@ -104,18 +93,21 @@ Session::recordConfigLine(const std::string &line,
 std::string
 Session::execute(const std::string &line)
 {
-    const std::vector<std::string> tokens = tokenize(line);
+    // The line is split once, here, and the console runs on the same
+    // tokens. tokens_ is reused from line to line, so a feed line's
+    // record tokens overwrite the last one's in place.
+    ies::splitTokens(line, tokens_);
     // Expand `script` here, not in the console: the console runs the
     // file's lines internally, which would bypass config recording
     // and leave a scripted session unable to resume. Routing each
     // line back through execute() records exactly the config lines a
     // hand-typed session would.
-    if (!tokens.empty() && tokens[0] == "script")
-        return executeScript(tokens);
+    if (!tokens_.empty() && tokens_[0] == "script")
+        return executeScript(tokens_);
     const bool preInit = !console_->initialized();
-    const std::string reply = console_->execute(line);
+    const std::string reply = console_->execute(tokens_);
     if (preInit && reply.rfind("error:", 0) != 0)
-        recordConfigLine(line, tokens);
+        recordConfigLine(line, tokens_);
     return reply;
 }
 
@@ -125,6 +117,8 @@ Session::executeScript(const std::vector<std::string> &tokens)
     try {
         if (tokens.size() != 2)
             fatal("usage: script <path>");
+        // tokens is tokens_, which the nested execute() calls below
+        // overwrite: read the path before the first of them.
         std::FILE *f = std::fopen(tokens[1].c_str(), "rb");
         if (!f)
             fatal("cannot open script '", tokens[1], "'");
@@ -301,7 +295,8 @@ Session::resume(const std::string &name)
     };
     std::vector<TwinEntry> twinEntries;
     for (std::uint64_t i = 0; i < twins; ++i) {
-        const std::vector<std::string> tokens = tokenize(nextLine());
+        std::vector<std::string> tokens;
+        ies::splitTokens(nextLine(), tokens);
         if (tokens.size() != 3 || tokens[0] != "twin")
             fatal("session manifest ", path, ": bad twin line '", line,
                   "'");

@@ -114,6 +114,8 @@ class Session
     std::unique_ptr<bus::Bus6xx> bus_;
     std::unique_ptr<ies::Console> console_;
     StreamIngest ingest_;
+    /** The current request's tokens, reused across requests. */
+    std::vector<std::string> tokens_;
     /** Pre-init configuration lines, replayed verbatim on resume. */
     std::vector<std::string> configScript_;
     bool suspendedOk_ = false;

@@ -127,20 +127,15 @@ StreamIngest::handleFeed(ies::Console &console,
         fatal("feed of ", n, " records exceeds the session batch limit ",
               maxBatch_);
 
-    // Decode every record first (reject the whole line on any bad
-    // token) and unpack with the session's cycle chain.
-    std::vector<bus::BusTransaction> txns;
-    txns.reserve(n);
-    Cycle prev = prevCycle_;
+    // Decode every record first, so a bad token anywhere rejects the
+    // whole line before any state changes.
+    raws_.clear();
     for (std::size_t i = 1; i < tokens.size(); ++i) {
         const auto raw = decodeRecordHex(tokens[i]);
         if (!raw)
             fatal("bad record token '", tokens[i],
                   "' (want 16 lower-case hex digits)");
-        const bus::BusTransaction txn =
-            trace::BusRecord(*raw).unpack(prev);
-        prev = txn.cycle;
-        txns.push_back(txn);
+        raws_.push_back(*raw);
     }
 
     ++feedLines_;
@@ -151,17 +146,25 @@ StreamIngest::handleFeed(ies::Console &console,
     // whole line exactly once (overflow drops and all).
     std::size_t attempted = n;
     if (paced_) {
-        attempted = std::min(
-            attempted, board.bufferAdmissibleAt(txns.front().cycle));
+        const Cycle head =
+            prevCycle_ + trace::BusRecord(raws_[0]).cycleDelta();
+        attempted = std::min(attempted, board.bufferAdmissibleAt(head));
     }
     if (attempted == 0) {
         ++backpressure_;
         return "fed 0 accepted 0 of " + std::to_string(n);
     }
 
-    txns.resize(attempted);
+    // Only the attempted prefix becomes transactions, unpacked along
+    // the session's cycle chain; the tail is re-sent by the client.
+    txns_.clear();
+    Cycle prev = prevCycle_;
+    for (std::size_t i = 0; i < attempted; ++i) {
+        txns_.push_back(trace::BusRecord(raws_[i]).unpack(prev));
+        prev = txns_.back().cycle;
+    }
     std::string notes;
-    const std::size_t accepted = feedAttempted(console, txns, notes);
+    const std::size_t accepted = feedAttempted(console, txns_, notes);
     return "fed " + std::to_string(attempted) + " accepted " +
            std::to_string(accepted) + " of " + std::to_string(n) + notes;
 }

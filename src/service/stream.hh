@@ -153,6 +153,11 @@ class StreamIngest
 
     ies::ExperimentFleet fleet_;
     std::vector<std::uint64_t> fleetSeeds_;
+
+    /** handleFeed's decoded records and admitted transactions, kept
+     *  from line to line so a feed allocates nothing once warm. */
+    std::vector<std::uint64_t> raws_;
+    std::vector<bus::BusTransaction> txns_;
 };
 
 } // namespace memories::service

@@ -1,7 +1,8 @@
 #include "service/wire.hh"
 
+#include <bit>
 #include <cerrno>
-#include <cstdio>
+#include <cstring>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -42,32 +43,75 @@ renderReply(bool ok, const std::string &body)
     return out;
 }
 
+void
+appendRecordHex(std::string &out, std::uint64_t raw)
+{
+    static constexpr char digits[] = "0123456789abcdef";
+    char buf[16];
+    for (int i = 15; i >= 0; --i, raw >>= 4)
+        buf[i] = digits[raw & 0xf];
+    out.append(buf, sizeof buf);
+}
+
 std::string
 encodeRecordHex(std::uint64_t raw)
 {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(raw));
-    return std::string(buf, 16);
+    std::string hex;
+    appendRecordHex(hex, raw);
+    return hex;
 }
+
+namespace
+{
+
+constexpr std::uint64_t byteOnes = 0x0101010101010101ULL;
+constexpr std::uint64_t byteHighs = byteOnes * 0x80;
+
+/** Bytes of @p word in [@p lo, @p hi], as their high bits; every byte
+ *  must be below 0x80, so no sum carries into its neighbor. */
+constexpr std::uint64_t
+bytesInRange(std::uint64_t word, unsigned lo, unsigned hi)
+{
+    return (word + byteOnes * (0x80 - lo)) & ~(word + byteOnes * (0x7f - hi)) &
+           byteHighs;
+}
+
+/**
+ * Decode 8 lower-case hex digits held in @p text, the first digit
+ * most significant, all 8 at once; false when any is not [0-9a-f].
+ */
+bool
+decodeHex8(const char *text, std::uint32_t &out)
+{
+    std::uint64_t word = 0;
+    std::memcpy(&word, text, sizeof word);
+    // Lay the first digit in the top byte whatever the host order.
+    if constexpr (std::endian::native == std::endian::little)
+        word = __builtin_bswap64(word);
+    if ((word & byteHighs) != 0 ||
+        (bytesInRange(word, '0', '9') | bytesInRange(word, 'a', 'f')) !=
+            byteHighs)
+        return false;
+    // Each byte's value: its low nibble, plus 9 for 'a'..'f' (bit 6).
+    std::uint64_t v = (word & byteOnes * 0x0f) + ((word >> 6) & byteOnes) * 9;
+    // Fold the 8 nibbles together: pairs, then quads, then all 8.
+    v = (v | (v >> 4)) & 0x00ff00ff00ff00ffULL;
+    v = (v | (v >> 8)) & 0x0000ffff0000ffffULL;
+    v = (v | (v >> 16)) & 0x00000000ffffffffULL;
+    out = static_cast<std::uint32_t>(v);
+    return true;
+}
+
+} // namespace
 
 std::optional<std::uint64_t>
 decodeRecordHex(const std::string &token)
 {
-    if (token.size() != 16)
+    std::uint32_t high = 0, low = 0;
+    if (token.size() != 16 || !decodeHex8(token.data(), high) ||
+        !decodeHex8(token.data() + 8, low))
         return std::nullopt;
-    std::uint64_t raw = 0;
-    for (char c : token) {
-        std::uint64_t digit;
-        if (c >= '0' && c <= '9')
-            digit = static_cast<std::uint64_t>(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            digit = static_cast<std::uint64_t>(c - 'a') + 10;
-        else
-            return std::nullopt;
-        raw = (raw << 4) | digit;
-    }
-    return raw;
+    return (std::uint64_t{high} << 32) | low;
 }
 
 LineChannel::~LineChannel()

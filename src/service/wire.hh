@@ -50,6 +50,9 @@ struct Reply
 /** Render a reply frame ("ok <n>\n" + lines, each '\n'-terminated). */
 std::string renderReply(bool ok, const std::string &body);
 
+/** Append a raw BusRecord word to @p out as 16 lower-case hex digits. */
+void appendRecordHex(std::string &out, std::uint64_t raw);
+
 /** Pack a raw BusRecord word as 16 lower-case hex digits. */
 std::string encodeRecordHex(std::uint64_t raw);
 

@@ -228,7 +228,7 @@ TEST(ShardEquivTest, BatchPathMatchesSerialWithoutRecorder)
         const auto serial = runSerial(cfg.board, txns, &serial_ok);
         const auto batch = runSharded(cfg.board, txns, 1, &batch_ok);
         EXPECT_EQ(serial_ok, batch_ok) << cfg.name;
-        expectIdentical(serial, batch, cfg.name + " turbo batch");
+        expectIdentical(serial, batch, cfg.name + " recorder-less batch");
     }
 }
 

@@ -35,11 +35,11 @@ tinyBufferScript()
     };
 }
 
-/** One feed line of records at the given cycles, chained from prev. */
-std::string
-feedLine(const std::vector<Cycle> &cycles, Cycle &prev)
+/** Hex tokens of records at the given cycles, chained from prev. */
+std::vector<std::string>
+recordTokens(const std::vector<Cycle> &cycles, Cycle &prev)
 {
-    std::string line = "feed";
+    std::vector<std::string> tokens;
     std::uint64_t addr = 0x10000;
     for (const Cycle c : cycles) {
         bus::BusTransaction txn;
@@ -47,11 +47,51 @@ feedLine(const std::vector<Cycle> &cycles, Cycle &prev)
         txn.cycle = c;
         txn.op = bus::BusOp::Read;
         txn.cpu = 0;
-        line += ' ';
-        line += encodeRecordHex(trace::BusRecord::pack(txn, prev).raw);
+        tokens.push_back(
+            encodeRecordHex(trace::BusRecord::pack(txn, prev).raw));
         prev = c;
     }
+    return tokens;
+}
+
+/** "feed" and @p tokens, each preceded by @p sep. */
+std::string
+joinFeed(const std::vector<std::string> &tokens, const std::string &sep)
+{
+    std::string line = "feed";
+    for (const auto &token : tokens)
+        line += sep + token;
     return line;
+}
+
+/** One feed line of records at the given cycles, chained from prev. */
+std::string
+feedLine(const std::vector<Cycle> &cycles, Cycle &prev)
+{
+    return joinFeed(recordTokens(cycles, prev), " ");
+}
+
+/** A session's `stream status` text plus its board signature. */
+struct SessionState
+{
+    std::string status;
+    RunSignature board;
+};
+
+SessionState
+sessionState(ServiceClient &client)
+{
+    const auto status = client.exec("stream status");
+    EXPECT_TRUE(status.ok) << status.text();
+    return {status.text(), sessionSignature(client)};
+}
+
+void
+expectSameState(const SessionState &a, const SessionState &b,
+                const std::string &what)
+{
+    EXPECT_EQ(a.status, b.status) << what << ": stream status";
+    a.board.expectEqual(b.board, what);
 }
 
 TEST(ServiceAdmissionTest, CreditsExhaustThenRecoverWithoutDrops)
@@ -94,6 +134,75 @@ TEST(ServiceAdmissionTest, CreditsExhaustThenRecoverWithoutDrops)
     ASSERT_TRUE(stats.ok);
     EXPECT_NE(stats.text().find("lost-inflight 0"), std::string::npos)
         << stats.text();
+}
+
+TEST(ServiceAdmissionTest, BadTokenPastTheAdmittedPrefixChangesNothing)
+{
+    // Session a sees the malformed lines, session b never does; both
+    // share every good line. A feed is decoded in full before
+    // admission, though only the admitted prefix is unpacked, so a bad
+    // token the board would never have been offered still rejects the
+    // whole line.
+    TestDaemon daemon;
+    ServiceClient a, b;
+    ASSERT_TRUE(a.connect(daemon.socket()));
+    ASSERT_TRUE(b.connect(daemon.socket()));
+    configureSession(a, tinyBufferScript());
+    configureSession(b, tinyBufferScript());
+
+    // Two records in flight: at cycle 0 only 2 of the 4 slots admit.
+    Cycle prevA = 0, prevB = 0;
+    ASSERT_EQ(a.exec(feedLine({0, 0}, prevA)).text(),
+              "fed 2 accepted 2 of 2");
+    ASSERT_EQ(b.exec(feedLine({0, 0}, prevB)).text(),
+              "fed 2 accepted 2 of 2");
+
+    const SessionState before = sessionState(a);
+    const std::vector<Cycle> line(8, 0);
+    for (const std::string bad :
+         {"0123456789ABCDEF", "0123456789abcde", "0123456789abcdef0",
+          "0123456789abcdeg", "zzzzzzzzzzzzzzzz"}) {
+        Cycle prev = prevA;
+        auto tokens = recordTokens(line, prev);
+        tokens[5] = bad; // past the 2-record admissible prefix
+        const auto reply = a.exec(joinFeed(tokens, " "));
+        EXPECT_FALSE(reply.ok) << bad;
+        EXPECT_NE(reply.text().find("bad record token '" + bad + "'"),
+                  std::string::npos)
+            << reply.text();
+        expectSameState(before, sessionState(a), "after '" + bad + "'");
+    }
+
+    // The next good line lands exactly as on the session that never
+    // saw a bad one, and is clamped to the admissible prefix.
+    const auto ra = a.exec(feedLine(line, prevA));
+    const auto rb = b.exec(feedLine(line, prevB));
+    EXPECT_EQ(ra.text(), "fed 2 accepted 2 of 8");
+    EXPECT_EQ(ra.text(), rb.text());
+    expectSameState(sessionState(a), sessionState(b), "next good line");
+}
+
+TEST(ServiceAdmissionTest, TabSeparatedCrlfFeedLineGetsTheSpacedReply)
+{
+    TestDaemon daemon;
+    ServiceClient a, b;
+    ASSERT_TRUE(a.connect(daemon.socket()));
+    ASSERT_TRUE(b.connect(daemon.socket()));
+    configureSession(a, tinyBufferScript());
+    configureSession(b, tinyBufferScript());
+
+    Cycle prevA = 0, prevB = 0;
+    for (const auto &cycles : std::vector<std::vector<Cycle>>{
+             {0, 0, 0, 0, 0, 0}, {0}, {240, 241, 242}}) {
+        // exec() appends the '\n', so the tabbed line ends in "\r\n".
+        const auto ra =
+            a.exec(joinFeed(recordTokens(cycles, prevA), "\t") + "\r");
+        const auto rb = b.exec(feedLine(cycles, prevB));
+        EXPECT_TRUE(rb.ok) << rb.text();
+        EXPECT_EQ(ra.ok, rb.ok);
+        EXPECT_EQ(ra.text(), rb.text());
+    }
+    expectSameState(sessionState(a), sessionState(b), "tabbed session");
 }
 
 TEST(ServiceAdmissionTest, OverRateClientDoesNotPerturbInRatePeer)
