@@ -71,7 +71,6 @@ def main():
             s["stage"]: s.get("ns_per_ref")
             for s in profile.get("stages", [])
         }
-        entry["imbalance"] = profile.get("imbalance")
 
     # An absent or empty history is the normal first-run state, not an
     # error: create it (and its directory) and say so.

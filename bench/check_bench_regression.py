@@ -123,7 +123,7 @@ def check_profile_attribution(results):
         print("[SKIP] profile attribution: no feed_batch time "
               "recorded")
         return []
-    children = ("batch_admission", "shard_dispatch", "counter_merge")
+    children = ("batch_admission", "emulation")
     attributed = sum(stages.get(name, 0) for name in children)
     share = attributed / total
     verdict = "OK" if 0.90 <= share <= 1.10 else "FAIL"
@@ -189,7 +189,7 @@ def check_service_gates(results, baseline):
     return failures
 
 
-def print_history(path, label="feed batch @1 shard"):
+def print_history(path, label="feed batch"):
     try:
         with open(path) as f:
             lines = [line.strip() for line in f if line.strip()]

@@ -103,17 +103,21 @@ main(int argc, char **argv)
         }
     }
     {
-        // The feed-path ladder behind docs/SHARDING.md: the same board
-        // and stream, fed one tenure at a time (serial), then in 4096-
-        // tenure batches on one shard (the threadless fast path), then
-        // batched across a worker pool. shard_equiv_test proves all
-        // three produce byte-identical state; this is their price. On
-        // single-core hosts expect the pool row to *lose* to batch@1 —
-        // the workers only pay off with real cores under them.
+        // The feed-path ladder: the same board and stream, fed one
+        // tenure at a time (serial), then in 4096-tenure batches.
+        // batch_equiv_test proves both produce byte-identical state;
+        // this is their price.
         const auto config = ies::makeUniformBoard(
             1, 8,
             cache::CacheConfig{64 * MiB, 4, 128,
                                cache::ReplacementPolicy::LRU});
+        static constexpr std::size_t chunk = 4096;
+        const auto feed_batches = [&trace](ies::MemoriesBoard &board,
+                                           std::size_t refs) {
+            for (std::size_t at = 0; at < refs; at += chunk)
+                board.feedBatch(&trace[at], std::min(chunk, refs - at));
+            board.drainAll();
+        };
         {
             ies::MemoriesBoard board(config);
             bench::Stopwatch clock;
@@ -123,92 +127,50 @@ main(int argc, char **argv)
             report("feed serial (feedCommitted)", clock.seconds(),
                    static_cast<double>(trace.size()));
         }
-        for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+        {
             ies::MemoriesBoard board(config);
-            if (shards > 1)
-                board.enableSharding(shards);
-            constexpr std::size_t chunk = 4096;
             bench::Stopwatch clock;
-            for (std::size_t at = 0; at < trace.size(); at += chunk) {
-                const std::size_t len =
-                    std::min(chunk, trace.size() - at);
-                board.feedBatch(&trace[at], len);
-            }
-            board.drainAll();
-            char label[64];
-            std::snprintf(label, sizeof(label),
-                          "feed batch @%zu shard%s", shards,
-                          shards == 1 ? "" : "s");
-            report(label, clock.seconds(),
+            feed_batches(board, trace.size());
+            report("feed batch", clock.seconds(),
                    static_cast<double>(trace.size()));
         }
         if (!args.profileDir.empty()) {
-            // The same ladder rungs again with an IESPROF profiler
-            // attached: the (profiled) rows vs their plain twins above
-            // are the measured-overhead gate (<5%, enforced by
-            // check_bench_regression.py), and the @1 stage breakdown
+            // The batch rung again with an IESPROF profiler attached:
+            // the (profiled) row vs its plain twin above is the
+            // measured-overhead gate (<5%, enforced by
+            // check_bench_regression.py), and the stage breakdown
             // becomes the "profile" object in the JSON artifact.
             std::filesystem::create_directories(args.profileDir);
-            for (std::size_t shards :
-                 {std::size_t{1}, std::size_t{4}}) {
+            {
                 ies::MemoriesBoard board(config);
                 profile::Profiler prof;
                 board.attachProfiler(prof);
-                if (shards > 1)
-                    board.enableSharding(shards);
-                constexpr std::size_t chunk = 4096;
                 bench::Stopwatch clock;
-                for (std::size_t at = 0; at < trace.size();
-                     at += chunk) {
-                    const std::size_t len =
-                        std::min(chunk, trace.size() - at);
-                    board.feedBatch(&trace[at], len);
-                }
-                board.drainAll();
-                char label[64];
-                std::snprintf(label, sizeof(label),
-                              "feed batch @%zu shard%s (profiled)",
-                              shards, shards == 1 ? "" : "s");
-                report(label, clock.seconds(),
+                feed_batches(board, trace.size());
+                report("feed batch (profiled)", clock.seconds(),
                        static_cast<double>(trace.size()));
                 const std::string folded =
-                    args.profileDir +
-                    (shards == 1 ? "/microbench_profile.folded"
-                                 : "/microbench_profile_shard4."
-                                   "folded");
+                    args.profileDir + "/microbench_profile.folded";
                 profile::writeFoldedFile(prof, folded);
                 std::printf("  flamegraph stacks -> %s\n",
                             folded.c_str());
-                if (shards == 1) {
-                    profile_json =
-                        "\"profile\": " +
-                        profile::profileJson(
-                            prof, static_cast<std::uint64_t>(
-                                      trace.size()));
-                    std::printf("%s", prof.describe().c_str());
-                }
+                profile_json =
+                    "\"profile\": " +
+                    profile::profileJson(
+                        prof, static_cast<std::uint64_t>(trace.size()));
+                std::printf("%s", prof.describe().c_str());
             }
             // A short recorder+profiler run for the merged timeline:
             // emulated spans (pids 0/1+) and emulator stage spans
-            // (pid 99) in one chrome://tracing file. A recorded board
-            // emulates inline, so there are no shard lanes.
+            // (pid 99) in one chrome://tracing file.
             {
                 ies::MemoriesBoard board(config);
                 trace::FlightRecorder recorder(std::size_t{1} << 16);
                 board.attachFlightRecorder(recorder, 0);
                 profile::Profiler prof;
                 board.attachProfiler(prof);
-                board.enableSharding(4);
-                constexpr std::size_t chunk = 4096;
-                const std::size_t merged_refs =
-                    std::min<std::size_t>(trace.size(), 64 * chunk);
-                for (std::size_t at = 0; at < merged_refs;
-                     at += chunk) {
-                    const std::size_t len =
-                        std::min(chunk, merged_refs - at);
-                    board.feedBatch(&trace[at], len);
-                }
-                board.drainAll();
+                feed_batches(board, std::min<std::size_t>(trace.size(),
+                                                          64 * chunk));
                 const std::string merged =
                     args.profileDir + "/microbench_profile.chrome.json";
                 profile::writeMergedChromeTraceFile(

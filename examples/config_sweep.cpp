@@ -280,11 +280,8 @@ main(int argc, char **argv)
         if (fleet_csv.empty())
             fleet_csv = "app,board,consumed,overflow_drops,"
                         "backpressure_stalls,lost_inflight,health,"
-                        "published,tap_filtered,tap_retry_dropped,"
-                        "shards,shard_skew\n";
+                        "published,tap_filtered,tap_retry_dropped\n";
         for (const auto &line : fleet_report.boards) {
-            char skew[32];
-            std::snprintf(skew, sizeof(skew), "%.3f", line.shardSkew);
             fleet_csv += app.name + "," + line.label + "," +
                          std::to_string(line.consumed) + "," +
                          std::to_string(line.overflowDrops) + "," +
@@ -294,8 +291,7 @@ main(int argc, char **argv)
                          std::to_string(fleet_report.published) + "," +
                          std::to_string(fleet_report.tapFiltered) + "," +
                          std::to_string(fleet_report.tapRetryDropped) +
-                         "," + std::to_string(line.shards) + "," +
-                         skew + "\n";
+                         "\n";
         }
 
         for (std::size_t c = 0; c < sizes.size(); ++c) {

@@ -102,32 +102,6 @@ class CounterBank
     /** Number of registered counters. */
     std::size_t size() const { return counters_.size(); }
 
-    /**
-     * Raw counter array, handle-indexed — the per-event hot path for
-     * contexts that bump through a pointer (shard worker sinks bump a
-     * replica array laid out by these same handles).
-     */
-    Counter40 *data() { return counters_.data(); }
-    const Counter40 *data() const { return counters_.data(); }
-
-    /**
-     * Fold a handle-aligned array of per-shard delta counters into this
-     * bank and zero the deltas. Each delta is added through
-     * Counter40::add, so the merge wraps at 40 bits exactly as if every
-     * event had bumped this bank directly — a naive 64-bit sum would
-     * diverge as soon as a bank total crosses 2^40 (see the
-     * wrap-at-merge regression test). @p deltas must have size().
-     */
-    void absorb(std::vector<Counter40> &deltas)
-    {
-        for (std::size_t i = 0; i < counters_.size(); ++i) {
-            if (deltas[i].value() != 0) {
-                counters_[i].add(deltas[i].value());
-                deltas[i].clear();
-            }
-        }
-    }
-
     /** Name of counter @p h. */
     const std::string &name(Handle h) const { return names_[h]; }
 

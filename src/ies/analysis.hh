@@ -60,10 +60,6 @@ struct BoardReport
     std::uint64_t healthTransitions = 0;
     /** Health state at capture ("healthy" unless degradation ran). */
     std::string healthState = "healthy";
-    /** Effective retirement-emulation shard count (1: no sharding). */
-    std::size_t shards = 1;
-    /** Max/mean shard-occupancy skew (1.0: balanced or unsharded). */
-    double shardSkew = 1.0;
     std::vector<std::string> nodeLabels;
     std::vector<NodeStats> nodes;
 
@@ -114,10 +110,6 @@ struct FleetReport
         std::uint64_t lostInflight = 0;
         /** Board health at capture ("healthy" unless degradation ran). */
         std::string healthState = "healthy";
-        /** Effective shard count (1: this board is unsharded). */
-        std::size_t shards = 1;
-        /** Max/mean shard-occupancy skew (1.0: balanced/unsharded). */
-        double shardSkew = 1.0;
     };
     std::vector<BoardLine> boards;
 

@@ -83,8 +83,6 @@ MemoriesBoard::MemoriesBoard(const BoardConfig &config, std::uint64_t seed)
         }
         group->nodes.push_back(static_cast<std::uint8_t>(i));
     }
-    rebuildSerialSinks();
-    rebuildShardScratch();
 }
 
 MemoriesBoard::~MemoriesBoard() = default;
@@ -123,7 +121,6 @@ MemoriesBoard::attachFlightRecorder(trace::FlightRecorder &recorder,
     boardId_ = boardId;
     for (auto &node : nodes_)
         node->setFlightRecorder(&recorder, boardId);
-    rebuildSerialSinks();
 }
 
 void
@@ -134,7 +131,6 @@ MemoriesBoard::detachFlightRecorder()
         node->setFlightRecorder(nullptr);
     if (injector_)
         injector_->setFlightRecorder(nullptr);
-    rebuildSerialSinks();
 }
 
 void
@@ -156,19 +152,12 @@ void
 MemoriesBoard::attachProfiler(profile::Profiler &profiler)
 {
     prof_ = &profiler;
-    prof_->bindShards(shardCount_);
 }
 
 void
 MemoriesBoard::detachProfiler()
 {
     prof_ = nullptr;
-}
-
-double
-MemoriesBoard::shardSkew() const
-{
-    return profile::occupancySkew(shardItems_);
 }
 
 void
@@ -210,24 +199,20 @@ MemoriesBoard::resyncFrom(const MemoriesBoard &healthy)
 void
 MemoriesBoard::drainDue(Cycle now)
 {
-    if (!batching_ || recorder_ || inlineEmulation_) {
+    if (!batching_ || recorder_) {
         // Inline: the recorder sees Retire and node events in serial
-        // order, and a pending scrub mutates state every shard would
-        // race on.
+        // order.
         while (auto txn = buffer_.drain(now)) {
             if (recorder_)
                 recorder_->record(
                     makeEvent(trace::EventKind::Retire, *txn, now));
             emulate(*txn);
         }
-        if (inlineEmulation_)
-            inlineEmulation_ = anyNodeCorruption();
         return;
     }
     // Queue everything due in one credit-earning pass. This is the
     // only per-tenure-frequency profiler hook, so it is sampled (1 in
     // 2^6 timed) instead of paying a clock pair every call.
-    const std::size_t before = retireSlab_.size();
     if (prof_) {
         const std::uint64_t t0 =
             prof_->sampledBegin(profile::Stage::CreditPacing);
@@ -235,11 +220,6 @@ MemoriesBoard::drainDue(Cycle now)
         prof_->sampledEnd(profile::Stage::CreditPacing, t0);
     } else {
         buffer_.drainInto(now, retireSlab_);
-    }
-    if (shardCount_ > 1) {
-        for (std::size_t k = before; k < retireSlab_.size(); ++k)
-            buckets_[shardOf(retireSlab_[k].addr)].push_back(
-                static_cast<std::uint32_t>(k));
     }
 }
 
@@ -404,13 +384,10 @@ MemoriesBoard::applyCommitFaults(const bus::BusTransaction &txn)
         buffer_.injectSlotLoss(faults.slots, faults.slotsUntil);
     if (faults.tagFlip && !nodes_.empty()) {
         // The flip probes the live directory, so retirement emulation
-        // queued behind it must land first; while the corruption
-        // awaits its scrub, later retirements emulate inline on this
-        // thread (the scrub mutates state every shard would race on).
-        dispatchBuckets();
+        // queued behind it must land first.
+        emulateQueued();
         nodes_[faults.tagNode % nodes_.size()]->corruptLine(
             txn.addr, faults.tagBit);
-        inlineEmulation_ = anyNodeCorruption();
     }
 }
 
@@ -435,203 +412,46 @@ MemoriesBoard::drainAll()
 void
 MemoriesBoard::emulate(const bus::BusTransaction &txn)
 {
-    emulateStep(txn, serialSinks_.data());
-}
-
-void
-MemoriesBoard::emulateStep(const bus::BusTransaction &txn,
-                           const EmuSink *sinks)
-{
     // Lock-step emulation step: within each target machine (groups
     // precomputed at construction) the non-owning nodes snoop first
     // (their combined emulated response is the "resulting state from
     // other cache nodes" input of the requester's protocol table),
-    // then the owning node applies its requester transition. Each
-    // node's effects go to its sink — its own bank and the recorder
-    // inline, a counter replica under the pool.
+    // then the owning node applies its requester transition.
     for (const MachineGroup &m : machines_) {
         NodeController *owner = nullptr;
-        const EmuSink *owner_sink = nullptr;
         auto emu_resp = bus::SnoopResponse::None;
         for (std::uint8_t n : m.nodes) {
             NodeController *node = nodes_[n].get();
-            if (node->ownsCpu(txn.cpu)) {
+            if (node->ownsCpu(txn.cpu))
                 owner = node;
-                owner_sink = &sinks[n];
-            } else {
-                emu_resp = bus::combineSnoop(
-                    emu_resp, node->snoopRemote(txn, sinks[n]));
-            }
+            else
+                emu_resp = bus::combineSnoop(emu_resp,
+                                             node->snoopRemote(txn));
         }
         if (owner)
-            owner->processLocal(txn, emu_resp, *owner_sink);
+            owner->processLocal(txn, emu_resp);
     }
 }
 
 void
-MemoriesBoard::emulateQueued(std::size_t shard)
-{
-    // A single shard walks the slab itself: its bucket would only ever
-    // hold 0, 1, 2, ...
-    const bool dense = shardCount_ == 1;
-    const std::uint32_t *bucket = buckets_[shard].data();
-    const std::size_t end =
-        dense ? retireSlab_.size() : buckets_[shard].size();
-    const EmuSink *sinks = shardSinks_[shard].data();
-    // Pull the directory sets a few retirements ahead so the tag loads
-    // overlap the current step's protocol work.
-    constexpr std::size_t prefetch_dist = 8;
-    for (std::size_t i = 0; i < end; ++i) {
-        if (i + prefetch_dist < end) {
-            const std::size_t ahead = i + prefetch_dist;
-            const Addr addr =
-                retireSlab_[dense ? ahead : bucket[ahead]].addr;
-            for (const auto &node : nodes_)
-                node->prefetchDirectory(addr);
-        }
-        emulateStep(retireSlab_[dense ? i : bucket[i]], sinks);
-    }
-}
-
-void
-MemoriesBoard::dispatchBuckets()
+MemoriesBoard::emulateQueued()
 {
     if (retireSlab_.empty())
         return;
-    const auto items = [this](std::size_t shard) {
-        return shardCount_ > 1 ? buckets_[shard].size()
-                               : retireSlab_.size();
-    };
-    for (std::size_t s = 0; s < shardCount_; ++s)
-        shardItems_[s] += items(s);
-    std::uint64_t disp_t0 = 0;
-    if (prof_) {
-        disp_t0 = profile::Profiler::nowNs();
-        prof_->noteDispatch(disp_t0);
-        for (std::size_t s = 0; s < shardCount_; ++s)
-            prof_->noteShardItems(s, items(s));
-    }
-    const auto run = [this](std::size_t shard) {
-        const std::uint64_t t0 = prof_ ? prof_->shardBegin(shard) : 0;
-        emulateQueued(shard);
-        if (prof_)
-            prof_->shardEnd(shard, t0);
-    };
-    if (pool_)
-        pool_->runAll(run);
-    else
-        run(0);
-    if (prof_)
-        prof_->recordStage(profile::Stage::ShardDispatch, disp_t0);
-    retireSlab_.clear();
-    if (!pool_)
-        return;
-    for (auto &bucket : buckets_)
-        bucket.clear();
-    // Fold the per-shard counter deltas into the node banks. Counter40
-    // adds commute modulo 2^40, so folding at every join yields the
-    // same bytes as one fold at the end — and as the serial path.
-    profile::ScopedStage merge_scope(prof_,
-                                     profile::Stage::CounterMerge);
-    for (std::size_t s = 0; s < shardCount_; ++s)
-        for (std::size_t n = 0; n < nodes_.size(); ++n)
-            nodes_[n]->absorbShardCounters(shardCounters_[s][n]);
-}
-
-void
-MemoriesBoard::rebuildSerialSinks()
-{
-    serialSinks_.clear();
-    for (auto &node : nodes_)
-        serialSinks_.push_back(EmuSink{node->counterData(), recorder_});
-}
-
-void
-MemoriesBoard::rebuildShardScratch()
-{
-    shardItems_.assign(shardCount_, 0);
-    buckets_.assign(shardCount_, {});
-    shardCounters_.clear();
-    shardSinks_.clear();
-    shardCounters_.resize(shardCount_);
-    shardSinks_.resize(shardCount_);
-    for (std::size_t s = 0; s < shardCount_; ++s) {
-        for (std::size_t n = 0; n < nodes_.size(); ++n) {
-            if (shardCount_ > 1) {
-                shardCounters_[s].emplace_back(
-                    nodes_[n]->counterCount());
-                shardSinks_[s].push_back(
-                    EmuSink{shardCounters_[s][n].data(), nullptr});
-            } else {
-                // Single shard runs inline on the coordinator: write
-                // the node banks directly, nothing to fold.
-                shardSinks_[s].push_back(
-                    EmuSink{nodes_[n]->counterData(), nullptr});
-            }
+    profile::ScopedStage emu_scope(prof_, profile::Stage::Emulation);
+    // Pull the directory sets a few retirements ahead so the tag loads
+    // overlap the current step's protocol work.
+    constexpr std::size_t prefetch_dist = 8;
+    const std::size_t end = retireSlab_.size();
+    for (std::size_t i = 0; i < end; ++i) {
+        if (i + prefetch_dist < end) {
+            const Addr addr = retireSlab_[i + prefetch_dist].addr;
+            for (const auto &node : nodes_)
+                node->prefetchDirectory(addr);
         }
+        emulate(retireSlab_[i]);
     }
-}
-
-bool
-MemoriesBoard::anyNodeCorruption() const
-{
-    for (const auto &node : nodes_) {
-        if (node->hasCorruption())
-            return true;
-    }
-    return false;
-}
-
-std::size_t
-MemoriesBoard::enableSharding(std::size_t shards)
-{
-    std::size_t want = 1;
-    while (want * 2 <= shards && want < 64)
-        want *= 2;
-    // Containment: the key must be address bits that are part of the
-    // set index of *every* node's directory, so two tenures that can
-    // ever share a directory set always share a shard. Node i's
-    // (sampled) set index covers address bits [lineShift_i + shift_i,
-    // lineShift_i + shift_i + log2(sets_i)); the key window
-    // [base, base + log2(want)) must sit inside all of them
-    // (docs/SHARDING.md). Line sizes may differ per node, so this is
-    // computed in absolute address-bit space.
-    unsigned base = 0;
-    unsigned min_top = 64;
-    for (const auto &node : nodes_) {
-        const unsigned lo =
-            static_cast<unsigned>(
-                log2i(node->config().cache.lineSize)) +
-            node->samplingShift();
-        const unsigned top =
-            lo + static_cast<unsigned>(log2i(node->directorySets()));
-        base = std::max(base, lo);
-        min_top = std::min(min_top, top);
-    }
-    while (want > 1 && base + log2i(want) > min_top)
-        want /= 2;
-
-    shardCount_ = want;
-    shardShift_ = base;
-    shardMask_ = shardCount_ - 1;
-    pool_ = shardCount_ > 1 ? std::make_unique<ShardPool>(shardCount_)
-                            : nullptr;
-    rebuildShardScratch();
-    if (prof_)
-        prof_->bindShards(shardCount_);
-    return shardCount_;
-}
-
-void
-MemoriesBoard::disableSharding()
-{
-    pool_.reset();
-    shardCount_ = 1;
-    shardShift_ = 0;
-    shardMask_ = 0;
-    rebuildShardScratch();
-    if (prof_)
-        prof_->bindShards(shardCount_);
+    retireSlab_.clear();
 }
 
 std::size_t
@@ -644,7 +464,6 @@ MemoriesBoard::feedBatch(const bus::BusTransaction *txns,
         prof_->beginBatch(count > 0 ? txns[0].cycle : 0);
 
     batching_ = true;
-    inlineEmulation_ = anyNodeCorruption();
     std::size_t ok_count = 0;
     {
         profile::ScopedStage admission_scope(
@@ -657,7 +476,7 @@ MemoriesBoard::feedBatch(const bus::BusTransaction *txns,
             ok_count += ok;
         }
     }
-    dispatchBuckets();
+    emulateQueued();
     batching_ = false;
     if (prof_)
         prof_->endBatch(count > 0 ? txns[count - 1].cycle : 0,
@@ -705,7 +524,6 @@ MemoriesBoard::clearCounters()
     global_.clearAll();
     for (auto &node : nodes_)
         node->clearCounters();
-    std::fill(shardItems_.begin(), shardItems_.end(), 0);
 }
 
 void
@@ -722,7 +540,6 @@ MemoriesBoard::reset()
     pendingRetried_ = false;
     healthCycle_ = 0;
     healthTraceId_ = 0;
-    inlineEmulation_ = false;
 }
 
 std::string

@@ -25,7 +25,6 @@
 #include "fault/health.hh"
 #include "ies/boardconfig.hh"
 #include "ies/nodecontroller.hh"
-#include "ies/shardpool.hh"
 #include "ies/txnbuffer.hh"
 #include "trace/capture.hh"
 
@@ -101,11 +100,12 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
      * one call. Bit-exact to calling feedCommitted() per element —
      * same counters, same pacing, same retirement order, same
      * lifecycle-event bytes, same checkpoint bytes. Admission runs the
-     * same code as feedCommitted(), on the calling thread. Retirement
-     * emulation is queued into per-set-shard buckets and (with a pool
-     * from enableSharding) run on worker threads, except while a
-     * flight recorder is attached or a tag flip awaits its scrub: then
-     * every retirement is emulated inline, in serial order.
+     * same code as feedCommitted(). Without a flight recorder the
+     * retirements are queued and emulated after admission in one
+     * dense, prefetching pass (and before any injected tag flip
+     * probes the directory); with a recorder attached every retirement
+     * is emulated inline, so lifecycle events keep their serial order.
+     * Everything runs on the calling thread.
      *
      * @param accepted Optional out array of @p count flags mirroring
      *        each feedCommitted() return value.
@@ -117,21 +117,12 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
                           bool *accepted = nullptr);
 
     /**
-     * Shard retirement emulation across @p shards worker threads.
-     * The shard key is a slice of the line address contained in every
-     * node's set-index window, so one directory set is only ever
-     * touched by one worker (docs/SHARDING.md). @p shards is rounded
-     * down to a power of two and clamped so the key stays inside the
-     * smallest node's window; the effective count is returned. One
-     * shard (the default) means no threads at all.
+     * Retired API, kept only because the benchmark's per-layer probe
+     * ("ies.feed_batch_shard4") still calls it; it goes with that probe
+     * at the next benchmark change. Batch emulation always runs on the
+     * calling thread, so the effective count is always 1.
      */
-    std::size_t enableSharding(std::size_t shards);
-
-    /** Back to single-shard (threadless) batch emulation. */
-    void disableSharding();
-
-    /** Effective shard count (1 when sharding is off). */
-    std::size_t shardCount() const { return shardCount_; }
+    std::size_t enableSharding(std::size_t) { return 1; }
 
     /**
      * Process everything still sitting in the transaction buffers
@@ -188,8 +179,7 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
      * Cold-start the board: every directory, counter, the transaction
      * buffer (entries, pacing credits, fault windows), the pending
      * snoop and the health monitor return to their constructed values.
-     * Attachments (recorder, injector, profiler, telemetry) and the
-     * shard layout stay.
+     * Attachments (recorder, injector, profiler, telemetry) stay.
      */
     void reset();
 
@@ -289,8 +279,7 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
 
     /**
      * Attach an IESPROF profiler: the batch hot path then attributes
-     * its wall-clock to pipeline stages and per-shard worker slabs
-     * (src/profile/profiler.hh). The profiler only observes the
+     * its wall-clock to pipeline stages (src/profile/profiler.hh). The profiler only observes the
      * emulator — tests/profile/prof_equiv_test.cc proves every
      * emulated byte (counters, directories, retirement order,
      * chrome-trace bytes) identical attached vs detached. One
@@ -305,22 +294,6 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
 
     /** Currently attached profiler (nullptr when detached). */
     profile::Profiler *profiler() const { return prof_; }
-
-    /**
-     * Always-on retirement-emulation occupancy per shard (index i =
-     * retirements emulated by shard i since the sharding layout last
-     * changed or counters were cleared; single element when sharding
-     * is off). Costs one add
-     * per shard per batch — kept on even without a profiler so
-     * FleetReport/BoardReport can surface load imbalance.
-     */
-    const std::vector<std::uint64_t> &shardOccupancy() const
-    {
-        return shardItems_;
-    }
-
-    /** Max/mean skew over shardOccupancy() (1.0 = balanced). */
-    double shardSkew() const;
 
     /** Where this board sits on the degradation ladder. */
     fault::HealthState healthState() const { return health_.state(); }
@@ -377,40 +350,20 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
      */
     Admission admit(bus::BusTransaction &t, bool live);
 
+    /** One lock-step emulation step over every node. */
     void emulate(const bus::BusTransaction &txn);
-
-    /** One lock-step emulation step with per-node effect sinks. */
-    void emulateStep(const bus::BusTransaction &txn,
-                     const EmuSink *sinks);
 
     /**
      * Retire everything the SDRAM side owes by bus cycle @p now.
-     * Retirements are emulated inline for a single-tenure call, with a
-     * flight recorder attached, or while a tag flip awaits its scrub;
-     * otherwise they are queued in retireSlab_ (and the shard buckets).
+     * Retirements are emulated inline for a single-tenure call or with
+     * a flight recorder attached; otherwise they are queued in
+     * retireSlab_.
      */
     void drainDue(Cycle now);
 
-    /** Worker body: emulate every queued retirement of @p shard. */
-    void emulateQueued(std::size_t shard);
-
-    /** Emulate everything queued, fold counter replicas, and empty
-     *  the queue. */
-    void dispatchBuckets();
-
-    /** (Re)size buckets, counter replicas, and sink arrays. */
-    void rebuildShardScratch();
-
-    /** Rebuild the serial-path per-node sinks (recorder changes). */
-    void rebuildSerialSinks();
-
-    bool anyNodeCorruption() const;
-
-    std::size_t shardOf(Addr addr) const
-    {
-        return static_cast<std::size_t>((addr >> shardShift_) &
-                                        shardMask_);
-    }
+    /** Emulate every queued retirement, in order, and empty the
+     *  queue. */
+    void emulateQueued();
 
     /**
      * Accept @p txn into the transaction buffer: count the commit,
@@ -470,30 +423,10 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
 
     /** Target-machine groups, precomputed for the emulation step. */
     std::vector<MachineGroup> machines_;
-    /** Per-node serial-path sinks: own bank, attached recorder. */
-    std::vector<EmuSink> serialSinks_;
 
-    // --- Batch/shard state. Workers only ever run inside
-    // dispatchBuckets(); the coordinator mutates all of this strictly
-    // before the fork or after the join, so none of it needs atomics.
-    std::unique_ptr<ShardPool> pool_;
-    std::size_t shardCount_ = 1;
-    unsigned shardShift_ = 0;   //!< address bit where the key starts
-    std::uint64_t shardMask_ = 0;
-    bool batching_ = false;     //!< inside a feedBatch call
-    /** A tag flip awaits its scrub: emulate inline, coordinator only. */
-    bool inlineEmulation_ = false;
+    bool batching_ = false; //!< inside a feedBatch call
     /** Retirements queued for emulation, in retirement order. */
     std::vector<bus::BusTransaction> retireSlab_;
-    /** Per-shard retireSlab_ indices (sharded layouts only; a single
-     *  shard walks the slab itself). */
-    std::vector<std::vector<std::uint32_t>> buckets_;
-    /** [shard][node] counter deltas, folded wrap-correct at joins. */
-    std::vector<std::vector<std::vector<Counter40>>> shardCounters_;
-    /** [shard][node] worker sinks. */
-    std::vector<std::vector<EmuSink>> shardSinks_;
-    /** Always-on per-shard retirement counts (see shardOccupancy()). */
-    std::vector<std::uint64_t> shardItems_;
 };
 
 /**

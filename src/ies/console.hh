@@ -35,7 +35,7 @@
  *   trace autodump <path>    -- dump automatically on every anomaly
  *   trace stop               -- detach and discard the recorder
  *   prof start [spans]       -- attach an IESPROF profiler (span ring)
- *   prof [show]              -- stage/shard attribution report
+ *   prof [show]              -- stage attribution report
  *   prof dump <path>         -- write folded-stack flamegraph lines
  *   prof chrome <path>       -- write emulated trace + profiler spans
  *                               merged as Chrome JSON (pid 99)

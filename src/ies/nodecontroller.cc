@@ -90,8 +90,7 @@ NodeController::corruptLine(Addr addr, unsigned bit)
 
 void
 NodeController::scrubIfCorrupt(Addr sampled,
-                               const bus::BusTransaction &txn,
-                               const EmuSink &sink)
+                               const bus::BusTransaction &txn)
 {
     for (auto it = corrupted_.begin(); it != corrupted_.end(); ++it) {
         if (*it != sampled)
@@ -102,9 +101,9 @@ NodeController::scrubIfCorrupt(Addr sampled,
         // scrub.
         if (directory_.probe(sampled).hit) {
             directory_.invalidate(sampled);
-            sink.bump(hParityScrubs_);
-            if (sink.tracing())
-                sink.emit(makeEvent(trace::EventKind::ParityScrub, txn));
+            counters_.bump(hParityScrubs_);
+            if (recorder_)
+                recorder_->record(makeEvent(trace::EventKind::ParityScrub, txn));
         }
         return;
     }
@@ -156,17 +155,16 @@ NodeController::probeState(Addr addr) const
 
 void
 NodeController::processLocal(const bus::BusTransaction &raw_txn,
-                             bus::SnoopResponse emu_resp,
-                             const EmuSink &sink)
+                             bus::SnoopResponse emu_resp)
 {
     if (!inSample(raw_txn.addr)) {
-        sink.bump(hUnsampled_);
+        counters_.bump(hUnsampled_);
         return;
     }
     bus::BusTransaction txn = raw_txn;
     txn.addr = sampleAddr(raw_txn.addr);
     if (!corrupted_.empty())
-        scrubIfCorrupt(txn.addr, raw_txn, sink);
+        scrubIfCorrupt(txn.addr, raw_txn);
 
     const auto opidx = static_cast<std::size_t>(txn.op);
     const auto hit = directory_.lookup(txn.addr);
@@ -177,19 +175,19 @@ NodeController::processLocal(const bus::BusTransaction &raw_txn,
         txn.op == bus::BusOp::Read || txn.op == bus::BusOp::ReadIfetch ||
         txn.op == bus::BusOp::Rwitm || txn.op == bus::BusOp::DClaim;
     if (is_reference)
-        sink.bump(hLocalRefs_);
+        counters_.bump(hLocalRefs_);
 
     if (hit.hit) {
-        sink.bump(hLocalHit_[opidx]);
+        counters_.bump(hLocalHit_[opidx]);
     } else {
-        sink.bump(hLocalMiss_[opidx]);
+        counters_.bump(hLocalMiss_[opidx]);
     }
-    if (sink.tracing()) {
+    if (recorder_) {
         auto ev = makeEvent(hit.hit ? trace::EventKind::CacheHit
                                     : trace::EventKind::CacheMiss,
                             raw_txn);
         ev.arg0 = static_cast<std::uint8_t>(state);
-        sink.emit(ev);
+        recorder_->record(ev);
     }
 
     // Service-point classification for data-bearing requests: a hit is
@@ -199,17 +197,17 @@ NodeController::processLocal(const bus::BusTransaction &raw_txn,
         txn.op == bus::BusOp::ReadIfetch ||
         txn.op == bus::BusOp::Rwitm) {
         if (hit.hit) {
-            sink.bump(hSatCache_);
+            counters_.bump(hSatCache_);
         } else {
             switch (emu_resp) {
               case bus::SnoopResponse::Modified:
-                sink.bump(hSatModInt_);
+                counters_.bump(hSatModInt_);
                 break;
               case bus::SnoopResponse::Shared:
-                sink.bump(hSatShrInt_);
+                counters_.bump(hSatShrInt_);
                 break;
               default:
-                sink.bump(hSatMem_);
+                counters_.bump(hSatMem_);
                 break;
             }
         }
@@ -226,38 +224,38 @@ NodeController::processLocal(const bus::BusTransaction &raw_txn,
                 txn.addr, hit.way,
                 static_cast<cache::LineStateRaw>(entry.next));
         }
-        if (sink.tracing() && entry.next != state) {
+        if (recorder_ && entry.next != state) {
             auto ev = makeEvent(trace::EventKind::StateTransition,
                                 raw_txn);
             ev.arg0 = static_cast<std::uint8_t>(state);
             ev.arg1 = static_cast<std::uint8_t>(entry.next);
-            sink.emit(ev);
+            recorder_->record(ev);
         }
         return;
     }
 
     if (entry.allocate && entry.next != LineState::Invalid) {
-        sink.bump(hFills_);
+        counters_.bump(hFills_);
         const auto evicted = directory_.allocate(
             txn.addr, static_cast<cache::LineStateRaw>(entry.next));
-        if (sink.tracing()) {
+        if (recorder_) {
             auto ev = makeEvent(trace::EventKind::StateTransition,
                                 raw_txn);
             ev.arg0 = static_cast<std::uint8_t>(LineState::Invalid);
             ev.arg1 = static_cast<std::uint8_t>(entry.next);
-            sink.emit(ev);
+            recorder_->record(ev);
         }
         if (evicted.valid) {
             const auto ev_state = static_cast<LineState>(evicted.state);
             if (protocol::isDirtyState(ev_state))
-                sink.bump(hEvDirty_);
+                counters_.bump(hEvDirty_);
             else
-                sink.bump(hEvClean_);
-            if (sink.tracing()) {
+                counters_.bump(hEvClean_);
+            if (recorder_) {
                 auto ev = makeEvent(trace::EventKind::Castout, raw_txn);
                 ev.addr = evicted.lineAddr;
                 ev.arg0 = static_cast<std::uint8_t>(ev_state);
-                sink.emit(ev);
+                recorder_->record(ev);
             }
             // Passive limitation (paper 3.4): the board cannot
             // invalidate the line in the real L1/L2 below, so nothing
@@ -267,21 +265,20 @@ NodeController::processLocal(const bus::BusTransaction &raw_txn,
 }
 
 bus::SnoopResponse
-NodeController::snoopRemote(const bus::BusTransaction &raw_txn,
-                            const EmuSink &sink)
+NodeController::snoopRemote(const bus::BusTransaction &raw_txn)
 {
     if (!inSample(raw_txn.addr)) {
-        sink.bump(hUnsampled_);
+        counters_.bump(hUnsampled_);
         return bus::SnoopResponse::None;
     }
     bus::BusTransaction txn = raw_txn;
     txn.addr = sampleAddr(raw_txn.addr);
     if (!corrupted_.empty())
-        scrubIfCorrupt(txn.addr, raw_txn, sink);
+        scrubIfCorrupt(txn.addr, raw_txn);
 
     const auto opidx = static_cast<std::size_t>(txn.op);
-    sink.bump(hRemoteSeen_[opidx]);
-    sink.bump(hRemoteRefs_);
+    counters_.bump(hRemoteSeen_[opidx]);
+    counters_.bump(hRemoteRefs_);
 
     const auto hit = directory_.probe(txn.addr);
     if (!hit.hit)
@@ -292,24 +289,24 @@ NodeController::snoopRemote(const bus::BusTransaction &raw_txn,
 
     if (entry.next == LineState::Invalid) {
         directory_.invalidateAt(txn.addr, hit.way);
-        sink.bump(hRemoteInv_);
+        counters_.bump(hRemoteInv_);
     } else if (entry.next != state) {
         directory_.setStateAt(
             txn.addr, hit.way,
             static_cast<cache::LineStateRaw>(entry.next));
-        sink.bump(hRemoteDowngrade_);
+        counters_.bump(hRemoteDowngrade_);
     }
-    if (sink.tracing() && entry.next != state) {
+    if (recorder_ && entry.next != state) {
         auto ev = makeEvent(trace::EventKind::StateTransition, raw_txn);
         ev.arg0 = static_cast<std::uint8_t>(state);
         ev.arg1 = static_cast<std::uint8_t>(entry.next);
-        sink.emit(ev);
+        recorder_->record(ev);
     }
 
     if (entry.response == bus::SnoopResponse::Modified)
-        sink.bump(hSupplyMod_);
+        counters_.bump(hSupplyMod_);
     else if (entry.response == bus::SnoopResponse::Shared)
-        sink.bump(hSupplyShr_);
+        counters_.bump(hSupplyShr_);
     return entry.response;
 }
 

@@ -60,33 +60,6 @@ struct NodeStats
     }
 };
 
-/**
- * Where one emulation step sends its side effects: which Counter40
- * array to bump (the node's own bank, or a per-shard replica that the
- * board folds back wrap-correct at the batch barrier) and which flight
- * recorder, if any, receives lifecycle events. Only inline emulation
- * records events; shard workers run with no recorder (the board never
- * queues a retirement while one is attached). Counter handles index
- * both the bank and any replica identically.
- */
-struct EmuSink
-{
-    Counter40 *counters = nullptr;
-    trace::FlightRecorder *recorder = nullptr;
-
-    bool tracing() const { return recorder != nullptr; }
-
-    void emit(const trace::LifecycleEvent &ev) const
-    {
-        recorder->record(ev);
-    }
-
-    void bump(CounterBank::Handle h, std::uint64_t n = 1) const
-    {
-        counters[h].add(n);
-    }
-};
-
 /** One emulated shared-cache node. */
 class NodeController
 {
@@ -110,27 +83,13 @@ class NodeController
      * target machine.
      */
     void processLocal(const bus::BusTransaction &txn,
-                      bus::SnoopResponse emu_resp)
-    {
-        processLocal(txn, emu_resp, defaultSink());
-    }
-
-    /** Local-requester path with an explicit effect sink (sharding). */
-    void processLocal(const bus::BusTransaction &txn,
-                      bus::SnoopResponse emu_resp, const EmuSink &sink);
+                      bus::SnoopResponse emu_resp);
 
     /**
      * Remote-snoop path: apply the snooper map and return the emulated
      * response this node drives.
      */
-    bus::SnoopResponse snoopRemote(const bus::BusTransaction &txn)
-    {
-        return snoopRemote(txn, defaultSink());
-    }
-
-    /** Remote-snoop path with an explicit effect sink (sharding). */
-    bus::SnoopResponse snoopRemote(const bus::BusTransaction &txn,
-                                   const EmuSink &sink);
+    bus::SnoopResponse snoopRemote(const bus::BusTransaction &txn);
 
     /**
      * Pull the directory set for @p addr towards the cache ahead of an
@@ -143,31 +102,8 @@ class NodeController
             directory_.prefetch(sampleAddr(addr));
     }
 
-    /** True while an injected tag flip awaits its parity scrub. The
-     *  scrub mutates shared state, so the board emulates serially
-     *  (coordinator only) whenever any node reports corruption. */
-    bool hasCorruption() const { return !corrupted_.empty(); }
-
-    /** Number of counters in this node's bank (shard replica sizing). */
-    std::size_t counterCount() const { return counters_.size(); }
-
-    /** Fold one shard's delta counters into the bank (wrap-correct). */
-    void absorbShardCounters(std::vector<Counter40> &deltas)
-    {
-        counters_.absorb(deltas);
-    }
-
-    /** Sets in the (sampled) directory — shard-key containment math. */
-    std::uint64_t directorySets() const
-    {
-        return directory_.config().numSets();
-    }
-
     /** Raw 40-bit counters ("console read"). */
     const CounterBank &counters() const { return counters_; }
-
-    /** Mutable counter array for the board's emulation sinks. */
-    Counter40 *counterData() { return counters_.data(); }
 
     /** Digest for tables and plots. */
     NodeStats stats() const;
@@ -313,15 +249,8 @@ class NodeController
     Addr sampleAddr(Addr addr) const;
 
     /** Parity check: scrub @p sampled if a TagFlip landed on it. */
-    void scrubIfCorrupt(Addr sampled, const bus::BusTransaction &txn,
-                        const EmuSink &sink);
+    void scrubIfCorrupt(Addr sampled, const bus::BusTransaction &txn);
     using LS = protocol::LineState;
-
-    /** The serial-path sink: own bank, attached recorder. */
-    EmuSink defaultSink()
-    {
-        return EmuSink{counters_.data(), recorder_};
-    }
 
     /** Build the common fields of a lifecycle event for @p txn. */
     trace::LifecycleEvent makeEvent(trace::EventKind kind,

@@ -54,7 +54,6 @@
 #include "ies/hotspot.hh"
 #include "ies/nodecontroller.hh"
 #include "ies/numa.hh"
-#include "ies/shardpool.hh"
 #include "ies/txnbuffer.hh"
 #include "oracle/diff.hh"
 #include "oracle/refboard.hh"

@@ -1,7 +1,9 @@
 #include "oracle/diff.hh"
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "checkpoint/file.hh"
@@ -77,15 +79,17 @@ DiffReport::describe() const
 }
 
 /**
- * Shared diff body: when @p checkpoint_path is non-null both boards
- * resume from it (counters cleared, so the diff covers the resumed
- * stream only) before the stream is fed.
+ * One differential run: when @p checkpoint_path is non-null both
+ * boards resume from it (counters cleared, so the diff covers the
+ * resumed stream only) before the stream is fed. With a @p recorder
+ * attached the production retirement order is diffed too; the caller
+ * owns the recorder and reads the witness dump from it.
  */
 static DiffReport
-diffStreamImpl(const ies::BoardConfig &config,
-               const std::string *checkpoint_path,
-               const std::vector<bus::BusTransaction> &stream,
-               const DiffOptions &opts)
+diffOnce(const ies::BoardConfig &config,
+         const std::string *checkpoint_path,
+         const std::vector<bus::BusTransaction> &stream,
+         const DiffOptions &opts, trace::FlightRecorder *recorder)
 {
     DiffReport report;
     auto note = [&report, &opts](std::string msg) {
@@ -107,17 +111,8 @@ diffStreamImpl(const ies::BoardConfig &config,
             ckpt::CheckpointImage::fromFile(*checkpoint_path));
     }
 
-    // Size the recorder to hold the whole run when the caller did not
-    // insist: each tenure produces well under 16 events.
-    std::size_t capacity = opts.recorderCapacity;
-    if (capacity == 0) {
-        capacity = static_cast<std::size_t>(
-            ceilPowerOf2(16 * stream.size() + 1024));
-        if (capacity > (std::size_t{1} << 20))
-            capacity = std::size_t{1} << 20;
-    }
-    trace::FlightRecorder recorder(capacity);
-    board->attachFlightRecorder(recorder);
+    if (recorder)
+        board->attachFlightRecorder(*recorder);
 
     auto noteAcceptance = [&note](const bus::BusTransaction &txn,
                                   bool prod_ok, bool ref_ok) {
@@ -127,14 +122,12 @@ diffStreamImpl(const ies::BoardConfig &config,
                  (ref_ok ? "accepted" : "rejected"));
         }
     };
-    if (opts.shards == 0) {
+    if (opts.batchSize == 0) {
         for (const bus::BusTransaction &txn : stream)
             noteAcceptance(txn, board->feedCommitted(txn),
                            ref.feedCommitted(txn));
     } else {
-        board->enableSharding(opts.shards);
-        const std::size_t chunk =
-            opts.batchSize == 0 ? 256 : opts.batchSize;
+        const std::size_t chunk = opts.batchSize;
         std::vector<char> flag_buf(chunk, 0);
         bool *flags = reinterpret_cast<bool *>(flag_buf.data());
         for (std::size_t at = 0; at < stream.size(); at += chunk) {
@@ -208,13 +201,15 @@ diffStreamImpl(const ies::BoardConfig &config,
 
     // --- Retirement order, from the production flight recorder. ---
     std::vector<RefRetirement> prod_ret;
-    for (const trace::LifecycleEvent &ev : recorder.snapshot()) {
-        if (ev.kind == trace::EventKind::Retire)
-            prod_ret.push_back({ev.traceId, ev.addr, ev.op, ev.cpu,
-                                ev.cycle});
+    if (recorder) {
+        for (const trace::LifecycleEvent &ev : recorder->snapshot()) {
+            if (ev.kind == trace::EventKind::Retire)
+                prod_ret.push_back({ev.traceId, ev.addr, ev.op, ev.cpu,
+                                    ev.cycle});
+        }
     }
     const auto &ref_ret = ref.retirements();
-    if (recorder.overwritten() == 0) {
+    if (recorder && recorder->overwritten() == 0) {
         if (prod_ret.size() != ref_ret.size()) {
             note("retirement count: production " +
                  std::to_string(prod_ret.size()) + ", reference " +
@@ -231,7 +226,7 @@ diffStreamImpl(const ies::BoardConfig &config,
                 break;
             }
         }
-    } else if (prod_ret.size() <= ref_ret.size()) {
+    } else if (recorder && prod_ret.size() <= ref_ret.size()) {
         // The ring wrapped: only the production tail survives, so align
         // it against the reference tail (totals are cross-checked by
         // the retired counter below).
@@ -264,9 +259,51 @@ diffStreamImpl(const ies::BoardConfig &config,
              std::to_string(ref.bufferSize()));
     }
 
-    if (report.diverged)
-        report.flightDump = recorder.snapshot();
     board->detachFlightRecorder();
+    return report;
+}
+
+/**
+ * The diff behind diffStream() and diffStreamFromCheckpoint(). A
+ * serial feed runs once with a flight recorder attached. A batched
+ * feed queues its retirements only while no recorder is attached, so
+ * it runs bare first, which diffs the queued emulation pass; only a
+ * divergence re-runs the stream with the recorder, adding the
+ * retirement-order details and the witness dump to the report.
+ */
+static DiffReport
+diffStreamImpl(const ies::BoardConfig &config,
+               const std::string *checkpoint_path,
+               const std::vector<bus::BusTransaction> &stream,
+               const DiffOptions &opts)
+{
+    // Size the recorder to hold the whole run when the caller did not
+    // insist: each tenure produces well under 16 events.
+    std::size_t capacity = opts.recorderCapacity;
+    if (capacity == 0) {
+        capacity = static_cast<std::size_t>(
+            ceilPowerOf2(16 * stream.size() + 1024));
+        if (capacity > (std::size_t{1} << 20))
+            capacity = std::size_t{1} << 20;
+    }
+    std::optional<trace::FlightRecorder> recorder;
+    if (opts.batchSize == 0)
+        recorder.emplace(capacity);
+    DiffReport report = diffOnce(config, checkpoint_path, stream, opts,
+                                 recorder ? &*recorder : nullptr);
+    if (report.diverged && opts.batchSize > 0) {
+        recorder.emplace(capacity);
+        const DiffReport witness =
+            diffOnce(config, checkpoint_path, stream, opts, &*recorder);
+        for (const std::string &d : witness.details) {
+            if (report.details.size() < opts.maxDetails &&
+                std::find(report.details.begin(), report.details.end(),
+                          d) == report.details.end())
+                report.details.push_back(d);
+        }
+    }
+    if (report.diverged)
+        report.flightDump = recorder->snapshot();
     return report;
 }
 

@@ -50,16 +50,12 @@ struct DiffOptions
     std::size_t maxDetails = 8;
     /**
      * Production feed path: 0 = one feedCommitted call per tenure
-     * (the default); >= 1 = feedBatch in chunks of batchSize with
-     * set-sharding enabled at this worker count (1 = batched but
-     * unsharded). The board may clamp the count to what its set-index
-     * windows allow. The reference board is always serial, so a
-     * nonzero value diffs the whole sharded batch pipeline against
-     * the naive oracle.
+     * (the default); N > 0 = feedBatch in chunks of N, first without
+     * a flight recorder so the queued emulation pass is what gets
+     * diffed (a divergence re-runs with the recorder for the witness).
+     * The reference board is always serial.
      */
-    std::size_t shards = 0;
-    /** Transactions per feedBatch call when shards > 0. */
-    std::size_t batchSize = 256;
+    std::size_t batchSize = 0;
 };
 
 /** Outcome of one differential comparison. */

@@ -70,8 +70,8 @@ void writeMergedChromeTraceFile(
 /**
  * JSON object (no trailing newline) with the per-stage breakdown:
  * {"refs":N,"batches":B,"stages":[{"stage":...,"calls":...,"ns":...,
- * "ns_per_ref":...},...],"shards":[...],"imbalance":X}. ns_per_ref
- * divides by @p refs (0 renders as 0).
+ * "ns_per_ref":...},...]}. ns_per_ref divides by @p refs (0 renders
+ * as 0).
  */
 std::string profileJson(const Profiler &profiler, std::uint64_t refs);
 

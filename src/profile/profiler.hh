@@ -8,15 +8,14 @@
  * aligned. This subsystem watches the *emulator*: where the wall-clock
  * nanoseconds of MemoriesBoard::feedBatch actually go, attributed to
  * the pipeline stages of the batch hot path (batch admission, credit
- * pacing, shard dispatch, per-shard emulation, counter merge) and to
- * the ShardPool workers (busy time, items, queue wait, imbalance).
+ * pacing, retirement emulation).
  *
  * Design rules, in the order they matter:
  *
  *  1. Non-perturbing. The profiler only ever *reads* the clock and
  *     *writes* its own slabs; it cannot change a single emulated byte.
  *     tests/profile/prof_equiv_test.cc proves attached-vs-detached
- *     byte equivalence the same way the sharding tier does.
+ *     byte equivalence the same way the batch-equivalence tier does.
  *  2. Zero-cost when detached. Board hot paths guard every hook with
  *     one `if (prof_)` on a pointer that is null in the common case —
  *     the same single-predictable-branch contract the flight recorder,
@@ -27,14 +26,9 @@
  *     in 2^6 is timed, and the estimate scales by calls/timed on read.
  *     Measured overhead stays under 5% of the ~56 ns/ref batch path
  *     (docs/PROFILING.md records the methodology).
- *  4. Race-free collection. Stage cells are written only by the
- *     coordinating thread; each shard cell is written only by the
- *     worker that owns that shard (or the coordinator in threadless
- *     mode). The ShardPool fork/join is mutex+condvar synchronized, so
- *     coordinator writes before the fork happen-before worker reads,
- *     and worker writes happen-before the post-join read-side merge.
- *     Fields are relaxed atomics anyway so a same-thread telemetry
- *     Sampler may read gauges between batches without UB.
+ *  4. Single writer. Stage cells are written only by the thread that
+ *     feeds the board. Fields are relaxed atomics so a telemetry
+ *     Sampler may read them between batches without UB.
  *
  * Exports: a text report (describe()), folded-stack flamegraph lines
  * and Chrome-trace merge in profile/profexport.hh, and Sampler gauges
@@ -47,7 +41,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -63,20 +56,16 @@ namespace memories::profile
 
 /**
  * The pipeline stages of MemoriesBoard::feedBatch, in flamegraph
- * nesting order. FeedBatch is the root; BatchAdmission, ShardDispatch
- * and CounterMerge are its children on the coordinating thread;
- * CreditPacing nests under admission; ShardEmulation is the workers'
- * busy time under dispatch (its total is the *sum* across workers, so
- * with real cores it can exceed the dispatch wall time).
+ * nesting order. FeedBatch is the root; BatchAdmission and Emulation
+ * (the pass over the queued retirements) are its children;
+ * CreditPacing nests under admission.
  */
 enum class Stage : std::uint8_t
 {
     FeedBatch = 0,
     BatchAdmission,
     CreditPacing,
-    ShardDispatch,
-    ShardEmulation,
-    CounterMerge,
+    Emulation,
     NumStages,
 };
 
@@ -110,15 +99,6 @@ struct StageStats
     }
 };
 
-/** Read-side view of one shard's worker metrics. */
-struct ShardStats
-{
-    std::uint64_t busyNs = 0;      //!< wall ns inside emulateQueued
-    std::uint64_t items = 0;       //!< retirements emulated
-    std::uint64_t dispatches = 0;  //!< fork/join epochs participated in
-    std::uint64_t queueWaitNs = 0; //!< fork-to-first-instruction delay
-};
-
 /**
  * One emulator span on the merged Chrome-trace timeline. Timestamps
  * are *bus cycles* (the batch's admitted cycle range) so profiler
@@ -129,11 +109,9 @@ struct ShardStats
 struct ProfSpan
 {
     Stage stage = Stage::FeedBatch;
-    std::uint32_t shard = 0; //!< meaningful for ShardEmulation only
     Cycle beginCycle = 0;
     Cycle endCycle = 0;
     std::uint64_t wallNs = 0;
-    std::uint64_t items = 0; //!< retirements (ShardEmulation spans)
     std::uint64_t batch = 0; //!< feedBatch ordinal, 1-based
 };
 
@@ -141,7 +119,6 @@ struct ProfSpan
 struct ProfReport
 {
     std::vector<StageStats> stages; //!< indexed by Stage
-    std::vector<ShardStats> shards;
     std::uint64_t batches = 0;
     std::uint64_t spansRecorded = 0;
     std::uint64_t spansDropped = 0;
@@ -151,19 +128,7 @@ struct ProfReport
     {
         return stages[static_cast<std::size_t>(s)];
     }
-
-    /**
-     * Max/mean shard-occupancy skew: 1.0 is perfectly balanced, N
-     * means the busiest shard carried N times the average load.
-     * Busy-time based when timings exist, item-count based otherwise
-     * (so the always-on board occupancy counts can reuse the same
-     * definition), 1.0 when there is nothing to compare.
-     */
-    double imbalance() const;
 };
-
-/** Max/mean skew over raw per-shard occupancy counts (see above). */
-double occupancySkew(const std::vector<std::uint64_t> &items);
 
 /** The collector. One profiler serves one board; see class comment. */
 class Profiler
@@ -176,16 +141,6 @@ class Profiler
 
     Profiler(const Profiler &) = delete;
     Profiler &operator=(const Profiler &) = delete;
-
-    /**
-     * (Re)size the per-shard cells for @p shards workers. Called by
-     * MemoriesBoard::attachProfiler and again on enableSharding /
-     * disableSharding. Resets shard metrics; stage totals survive.
-     * Never call while a batch is in flight.
-     */
-    void bindShards(std::size_t shards);
-
-    std::size_t shardCount() const { return shardCount_; }
 
     /** Zero every cell and the span ring. */
     void reset();
@@ -200,17 +155,17 @@ class Profiler
                 .count());
     }
 
-    // --- Hot-path hooks (coordinator thread unless noted). The board
-    // calls none of these when detached; each is a handful of relaxed
-    // atomic ops plus at most one clock read.
+    // --- Hot-path hooks. The board calls none of these when detached;
+    // each is a handful of relaxed atomic ops plus at most one clock
+    // read.
 
     /** Open batch @p first_cycle..: resets per-batch accumulators. */
     void beginBatch(Cycle first_cycle);
 
     /**
      * Close the batch: record the FeedBatch root time (clock pair
-     * started at @p root_t0) and push this batch's stage/shard spans
-     * onto the ring, stamped with the admitted cycle range.
+     * started at @p root_t0) and push this batch's stage spans onto
+     * the ring, stamped with the admitted cycle range.
      */
     void endBatch(Cycle last_cycle, std::uint64_t root_t0);
 
@@ -253,44 +208,8 @@ class Profiler
         bump(c.batchNs, d);
     }
 
-    /** Coordinator, just before the fork: stamp the dispatch epoch so
-     *  workers can measure their wake-up latency against it. */
-    void noteDispatch(std::uint64_t fork_t0) { forkStamp_ = fork_t0; }
-
-    /** Coordinator, before the fork: @p items queued for @p shard. */
-    void
-    noteShardItems(std::size_t shard, std::uint64_t items)
-    {
-        bump(shardCells_[shard].items, items);
-        bump(shardCells_[shard].batchItems, items);
-    }
-
-    /** Worker (or coordinator in threadless mode), first instruction
-     *  of the shard body: records queue wait, returns the busy t0. */
-    std::uint64_t
-    shardBegin(std::size_t shard)
-    {
-        const std::uint64_t t0 = nowNs();
-        ShardCell &c = shardCells_[shard];
-        if (t0 > forkStamp_)
-            bump(c.queueWaitNs, t0 - forkStamp_);
-        return t0;
-    }
-
-    /** Worker, last instruction of the shard body. */
-    void
-    shardEnd(std::size_t shard, std::uint64_t t0)
-    {
-        ShardCell &c = shardCells_[shard];
-        const std::uint64_t d = nowNs() - t0;
-        bump(c.busyNs, d);
-        bump(c.batchBusyNs, d);
-        bump(c.dispatches, 1);
-    }
-
-    // --- Read side. Call from the coordinating thread between
-    // batches (the same single-owner contract as
-    // MemoriesBoard::attachTelemetry).
+    // --- Read side. Call from the feeding thread between batches (the
+    // same single-owner contract as MemoriesBoard::attachTelemetry).
 
     /** Merge every slab into one report. */
     ProfReport snapshot() const;
@@ -298,17 +217,15 @@ class Profiler
     /** Spans recorded so far, in batch order. */
     std::vector<ProfSpan> spans() const;
 
-    /** Aligned text report: stage table, shard table, imbalance. */
+    /** Aligned text report: one row per stage. */
     std::string describe() const;
 
     /**
-     * Register stage/shard observables with a telemetry sampler:
+     * Register the stage observables with a telemetry sampler:
      * "<prefix>.stage.<name>.ns" and ".calls" as windowed counters per
-     * stage, "<prefix>.shard<i>.busy_ns"/".items"/".queue_wait_ns" per
-     * shard, and a "<prefix>.shard.imbalance" gauge — which is how the
-     * profiler reaches the Prometheus/JSONL/CSV exporters. Values read
-     * through `this`; keep the profiler alive and its shard binding
-     * stable while the sampler runs.
+     * stage — which is how the profiler reaches the Prometheus/JSONL/
+     * CSV exporters. Values read through `this`; keep the profiler
+     * alive while the sampler runs.
      */
     void attachTelemetry(telemetry::Sampler &sampler,
                          const std::string &prefix = "prof");
@@ -329,16 +246,6 @@ class Profiler
         std::atomic<std::uint64_t> batchNs{0};
     };
 
-    struct alignas(64) ShardCell
-    {
-        std::atomic<std::uint64_t> busyNs{0};
-        std::atomic<std::uint64_t> items{0};
-        std::atomic<std::uint64_t> dispatches{0};
-        std::atomic<std::uint64_t> queueWaitNs{0};
-        std::atomic<std::uint64_t> batchBusyNs{0};
-        std::atomic<std::uint64_t> batchItems{0};
-    };
-
     /** Single-writer add: plain load+store, never a locked RMW. */
     static void
     bump(std::atomic<std::uint64_t> &cell, std::uint64_t d)
@@ -357,18 +264,11 @@ class Profiler
         bump(c.batchNs, d);
     }
 
-    void pushSpan(Stage s, std::uint32_t shard, Cycle begin, Cycle end,
-                  std::uint64_t wall_ns);
+    void pushSpan(Stage s, Cycle begin, Cycle end, std::uint64_t wall_ns);
 
     StageCell stageCells_[numStages];
-    std::unique_ptr<ShardCell[]> shardCells_;
-    std::size_t shardCount_ = 1;
 
-    /** Coordinator's fork stamp for queue-wait measurement. The pool's
-     *  mutex hand-off orders this write before worker reads. */
-    std::uint64_t forkStamp_ = 0;
-
-    /** Coordinator-only sequence for sampledBegin's 1-in-2^6 choice
+    /** Feeding-thread sequence for sampledBegin's 1-in-2^6 choice
      *  (shared by all sampled stages; only CreditPacing uses it). */
     std::uint64_t sampleSeq_ = 0;
 

@@ -143,6 +143,7 @@ goldenDir()
             fatal("golden campaign did not complete");
         return d;
     }();
+    static const test::TempPathGuard cleanup(dir);
     return dir;
 }
 
@@ -154,6 +155,7 @@ TEST(CampaignResumeTest, CrashAtEveryDurableOpResumesByteIdentical)
     for (std::uint64_t crashOp = 0;; ++crashOp) {
         const std::string dir =
             freshDir("crash" + std::to_string(crashOp));
+        const test::TempPathGuard cleanup(dir);
         bool crashed = false;
         {
             CrashAtOp shim(crashOp);
@@ -192,7 +194,6 @@ TEST(CampaignResumeTest, CrashAtEveryDurableOpResumesByteIdentical)
             EXPECT_EQ(m.unit(i).overflowDrops,
                       goldenManifest.unit(i).overflowDrops);
         }
-        std::filesystem::remove_all(dir);
     }
 }
 
@@ -208,6 +209,7 @@ TEST(CampaignResumeTest, DoubleCrashChainsResumeByteIdentical)
         const std::string dir =
             freshDir("double" + std::to_string(first) + "_" +
                      std::to_string(second));
+        const test::TempPathGuard cleanup(dir);
         CampaignRunner runner(testConfigs(), dir);
         {
             CrashAtOp shim(first);
@@ -221,7 +223,6 @@ TEST(CampaignResumeTest, DoubleCrashChainsResumeByteIdentical)
         }
         EXPECT_TRUE(runner.resume().allDone());
         EXPECT_EQ(resultArtifacts(dir), golden);
-        std::filesystem::remove_all(dir);
     }
 }
 
@@ -229,6 +230,7 @@ TEST(CampaignResumeTest, TransientDiskFaultsAreRetriedByteIdentical)
 {
     const auto golden = resultArtifacts(goldenDir());
     const std::string dir = freshDir("transient");
+    const test::TempPathGuard cleanup(dir);
     // Ops 2 and 3 are the first segment's unit checkpoint writes
     // (op 0 creates the manifest, op 1 marks the wave running); a
     // short write and an ENOSPC there must each fail only that
@@ -245,13 +247,13 @@ TEST(CampaignResumeTest, TransientDiskFaultsAreRetriedByteIdentical)
     const Manifest m = Manifest::open(dir);
     EXPECT_GT(m.unit(0).attempts + m.unit(1).attempts, 2u)
         << "injected faults should have cost extra attempts";
-    std::filesystem::remove_all(dir);
 }
 
 TEST(CampaignResumeTest, PersistentFaultQuarantinesOnlyThatUnit)
 {
     const auto golden = resultArtifacts(goldenDir());
     const std::string dir = freshDir("quarantine");
+    const test::TempPathGuard cleanup(dir);
     PoisonPath shim("unit0.");
     ShimGuard guard(&shim);
     CampaignRunner runner(testConfigs(), dir);
@@ -266,12 +268,12 @@ TEST(CampaignResumeTest, PersistentFaultQuarantinesOnlyThatUnit)
     // neighbour.
     EXPECT_EQ(ckpt::readFileBytes(m.resultPath(1), "unit result"),
               golden[1]);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(CampaignResumeTest, LatentCheckpointCorruptionFailsResumeClosed)
 {
     const std::string dir = freshDir("latent");
+    const test::TempPathGuard cleanup(dir);
     {
         // Flip a bit in the first unit checkpoint (op 2) — latent
         // corruption the writer cannot see — then crash a few durable
@@ -306,12 +308,12 @@ TEST(CampaignResumeTest, LatentCheckpointCorruptionFailsResumeClosed)
                   std::string::npos)
             << err.what();
     }
-    std::filesystem::remove_all(dir);
 }
 
 TEST(CampaignResumeTest, CorruptResultArtifactFailsResumeClosed)
 {
     const std::string dir = freshDir("badresult");
+    const test::TempPathGuard cleanup(dir);
     CampaignRunner runner(testConfigs(), dir);
     ASSERT_TRUE(runner.start(testPlan()).allDone());
     const Manifest m = Manifest::open(dir);
@@ -327,12 +329,12 @@ TEST(CampaignResumeTest, CorruptResultArtifactFailsResumeClosed)
     }
     CampaignRunner again(testConfigs(), dir);
     EXPECT_THROW(again.resume(), FatalError);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(CampaignResumeTest, ResumeRejectsChangedConfigRegistry)
 {
     const std::string dir = freshDir("changedcfg");
+    const test::TempPathGuard cleanup(dir);
     CampaignRunner runner(testConfigs(), dir);
     ASSERT_TRUE(runner.start(testPlan()).allDone());
     // Rerun against a registry whose board geometry changed under the
@@ -351,12 +353,12 @@ TEST(CampaignResumeTest, ResumeRejectsChangedConfigRegistry)
         m.update(0, s);
     }
     EXPECT_THROW(again.resume(), FatalError);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(CampaignResumeTest, WatchdogDeadlineFailsSlowAttempts)
 {
     const std::string dir = freshDir("watchdog");
+    const test::TempPathGuard cleanup(dir);
     RunnerOptions opts;
     opts.attemptDeadlineMs = 1; // every wave blows the budget
     CampaignRunner runner(testConfigs(), dir, opts);
@@ -366,7 +368,6 @@ TEST(CampaignResumeTest, WatchdogDeadlineFailsSlowAttempts)
     const Manifest m = Manifest::open(dir);
     EXPECT_NE(m.unit(0).note.find("watchdog"), std::string::npos)
         << m.unit(0).note;
-    std::filesystem::remove_all(dir);
 }
 
 } // namespace

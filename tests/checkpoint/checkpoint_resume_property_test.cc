@@ -6,8 +6,8 @@
  * must be byte-identical to the run that never stopped — tail
  * acceptance flags, every Counter40, every directory, the retirement
  * order, and the rendered chrome-trace bytes. Fault plans and the
- * sharded batch feed path are covered too, including saving under
- * shards=4 and resuming serial.
+ * batch feed path are covered too, including saving after a batched
+ * prefix and resuming serial.
  *
  * Scale: seeds default to a quick smoke count; CI raises it via the
  * MEMORIES_CKPT_SEEDS environment variable (see docs/TESTING.md).
@@ -79,10 +79,10 @@ struct Outcome
 /** How one run feeds the stream around the split point. */
 struct FeedPlan
 {
-    /** Shard workers for the prefix [0, k); 0 = serial feed. */
-    std::size_t prefixShards = 0;
-    /** Shard workers for the tail [k, n); 0 = serial feed. */
-    std::size_t tailShards = 0;
+    /** Feed the prefix [0, k) through feedBatch (else serially). */
+    bool prefixBatched = false;
+    /** Feed the tail [k, n) through feedBatch (else serially). */
+    bool tailBatched = false;
     std::size_t batch = 64;
     /** Fault plan attached (same plan and seed on every board). */
     const fault::FaultPlan *plan = nullptr;
@@ -92,10 +92,10 @@ struct FeedPlan
 void
 feedRange(MemoriesBoard &board,
           const std::vector<bus::BusTransaction> &stream,
-          std::size_t from, std::size_t to, std::size_t shards,
+          std::size_t from, std::size_t to, bool batched,
           std::size_t batch, std::vector<std::uint8_t> *accepted)
 {
-    if (shards == 0) {
+    if (!batched) {
         for (std::size_t i = from; i < to; ++i) {
             const bool ok = board.feedCommitted(stream[i]);
             if (accepted)
@@ -103,7 +103,6 @@ feedRange(MemoriesBoard &board,
         }
         return;
     }
-    board.enableSharding(shards);
     std::vector<std::uint8_t> storage(batch, 0);
     bool *flags = reinterpret_cast<bool *>(storage.data());
     for (std::size_t at = from; at < to; at += batch) {
@@ -126,7 +125,7 @@ finishTail(MemoriesBoard &board,
     board.attachFlightRecorder(recorder);
 
     Outcome out;
-    feedRange(board, stream, k, stream.size(), plan.tailShards,
+    feedRange(board, stream, k, stream.size(), plan.tailBatched,
               plan.batch, &out.tailAccepted);
     board.drainAll();
 
@@ -167,7 +166,7 @@ runStraight(const BoardConfig &cfg,
                                                      plan.faultSeed);
         board.attachFaultInjector(*inj);
     }
-    feedRange(board, stream, 0, k, plan.prefixShards, plan.batch,
+    feedRange(board, stream, 0, k, plan.prefixBatched, plan.batch,
               nullptr);
     return finishTail(board, stream, k, plan);
 }
@@ -187,7 +186,7 @@ runResumed(const BoardConfig &cfg,
                 *plan.plan, plan.faultSeed);
             board.attachFaultInjector(*inj);
         }
-        feedRange(board, stream, 0, k, plan.prefixShards, plan.batch,
+        feedRange(board, stream, 0, k, plan.prefixBatched, plan.batch,
                   nullptr);
         board.saveState(writer);
     }
@@ -300,19 +299,19 @@ TEST(CheckpointResumePropertyTest, ResumeMatchesUnderShardedBatchFeed)
     for (std::size_t s = 0; s < seeds; ++s) {
         const auto stream = propertyStream(41 + s);
         FeedPlan fp;
-        fp.prefixShards = 4;
-        fp.tailShards = 4;
+        fp.prefixBatched = true;
+        fp.tailBatched = true;
         fp.batch = 64;
         checkResume(cfg, stream, stream.size() / 2, fp,
-                    "sharded seed " + std::to_string(41 + s));
+                    "batched seed " + std::to_string(41 + s));
     }
 }
 
 TEST(CheckpointResumePropertyTest, CrossShardRestoreContinuesSerial)
 {
-    // Save under the shards=4 batch pipeline, restore and continue
-    // with the plain serial feed: the shard-equivalence tier makes
-    // the prefix state identical, so the tails must match too.
+    // Save after a batched prefix, restore and continue with the
+    // plain serial feed: the batch-equivalence tier makes the prefix
+    // state identical, so the tails must match too.
     const BoardConfig cfg = makeUniformBoard(
         4, 2,
         cache::CacheConfig{2 * MiB, 4, 128,
@@ -326,16 +325,16 @@ TEST(CheckpointResumePropertyTest, CrossShardRestoreContinuesSerial)
         const Outcome straight =
             runStraight(cfg, stream, k, FeedPlan{});
 
-        // Resumed run: sharded prefix, checkpoint, serial tail.
+        // Resumed run: batched prefix, checkpoint, serial tail.
         FeedPlan fp;
-        fp.prefixShards = 4;
-        fp.tailShards = 0;
+        fp.prefixBatched = true;
+        fp.tailBatched = false;
         const Outcome resumed = runResumed(cfg, stream, k, fp);
 
         EXPECT_TRUE(straight == resumed)
-            << "cross-shard seed " << (71 + s)
-            << ": shards=4 checkpoint resumed serially diverged from "
-               "the serial straight-through run";
+            << "batched-prefix seed " << (71 + s)
+            << ": checkpoint after a batched prefix resumed serially "
+               "diverged from the serial straight-through run";
     }
 }
 

@@ -1,17 +1,17 @@
 /**
  * @file
- * The sharding equivalence tier: MemoriesBoard::feedBatch — threadless,
- * and sharded across every supported worker count — must be
- * byte-identical to the serial feedCommitted path. "Byte-identical"
- * is taken literally: every global and node counter, every node's
- * directorySnapshot(), the retirement order, the buffer statistics,
- * and the chrome-trace JSON rendered from the flight-recorder ring
- * must match, and so must the board's full IESCKPT checkpoint image,
- * transaction stream for transaction stream.
+ * The batch equivalence tier: MemoriesBoard::feedBatch — with its
+ * retirements queued (no recorder) or emulated inline (recorder
+ * attached), at any batch size — must be byte-identical to the serial
+ * feedCommitted path. "Byte-identical" is taken literally: every
+ * global and node counter, every node's directorySnapshot(), the
+ * retirement order, the buffer statistics, and the chrome-trace JSON
+ * rendered from the flight-recorder ring must match, and so must the
+ * board's full IESCKPT checkpoint image, transaction stream for
+ * transaction stream (docs/TESTING.md, "Batch tier").
  *
- * Run under TSan (MEMORIES_SANITIZE=thread) this doubles as the data
- * race proof for the shard pool: docs/SHARDING.md documents the
- * partitioning invariant these tests pin down.
+ * The suite keeps its historical name, ShardEquivTest, from when it
+ * also swept a set-sharded worker pool, so test ids stay stable.
  */
 
 #include <gtest/gtest.h>
@@ -81,23 +81,23 @@ signatureOf(const MemoriesBoard &board,
 
 void
 expectIdentical(const BoardSignature &serial,
-                const BoardSignature &sharded, const std::string &what)
+                const BoardSignature &batched, const std::string &what)
 {
-    ASSERT_EQ(serial.counters.size(), sharded.counters.size()) << what;
+    ASSERT_EQ(serial.counters.size(), batched.counters.size()) << what;
     for (std::size_t i = 0; i < serial.counters.size(); ++i) {
-        EXPECT_EQ(serial.counters[i].second, sharded.counters[i].second)
+        EXPECT_EQ(serial.counters[i].second, batched.counters[i].second)
             << what << ": counter " << serial.counters[i].first;
     }
-    ASSERT_EQ(serial.dirs.size(), sharded.dirs.size()) << what;
+    ASSERT_EQ(serial.dirs.size(), batched.dirs.size()) << what;
     for (std::size_t n = 0; n < serial.dirs.size(); ++n)
-        EXPECT_EQ(serial.dirs[n], sharded.dirs[n])
+        EXPECT_EQ(serial.dirs[n], batched.dirs[n])
             << what << ": node " << n << " directory";
-    EXPECT_EQ(serial.bufferRetired, sharded.bufferRetired) << what;
-    EXPECT_EQ(serial.bufferSize, sharded.bufferSize) << what;
-    EXPECT_EQ(serial.bufferHighWater, sharded.bufferHighWater) << what;
-    EXPECT_EQ(serial.retirementOrder, sharded.retirementOrder) << what;
-    EXPECT_EQ(serial.chromeTrace, sharded.chromeTrace) << what;
-    EXPECT_TRUE(serial.checkpoint == sharded.checkpoint)
+    EXPECT_EQ(serial.bufferRetired, batched.bufferRetired) << what;
+    EXPECT_EQ(serial.bufferSize, batched.bufferSize) << what;
+    EXPECT_EQ(serial.bufferHighWater, batched.bufferHighWater) << what;
+    EXPECT_EQ(serial.retirementOrder, batched.retirementOrder) << what;
+    EXPECT_EQ(serial.chromeTrace, batched.chromeTrace) << what;
+    EXPECT_TRUE(serial.checkpoint == batched.checkpoint)
         << what << ": checkpoint images differ";
 }
 
@@ -151,7 +151,7 @@ equivConfigs()
         cfgs.push_back({"multicfg", std::move(multi)});
     }
     {
-        // Set sampling: shard keys must come from the sampled window.
+        // Set sampling: prefetch and emulation use sampled addresses.
         BoardConfig sampled = makeUniformBoard(2, 4, cacheCfg(8 * MiB, 4));
         for (auto &node : sampled.nodes)
             node.setSamplingShift = 2;
@@ -187,12 +187,12 @@ runSerial(const BoardConfig &cfg,
     return signatureOf(board, recorder.get());
 }
 
-/** Batched run at a requested shard count. */
+/** Batched run: feedBatch in chunks of @p batchSize (0: one batch). */
 BoardSignature
-runSharded(const BoardConfig &cfg,
+runBatched(const BoardConfig &cfg,
            const std::vector<bus::BusTransaction> &txns,
-           std::size_t shards, std::vector<bool> *accepted = nullptr,
-           bool record = false, std::size_t batchSize = 0)
+           std::vector<bool> *accepted = nullptr, bool record = false,
+           std::size_t batchSize = 0)
 {
     MemoriesBoard board(cfg);
     std::unique_ptr<trace::FlightRecorder> recorder;
@@ -200,8 +200,6 @@ runSharded(const BoardConfig &cfg,
         recorder = std::make_unique<trace::FlightRecorder>(1 << 14);
         board.attachFlightRecorder(*recorder);
     }
-    if (shards > 1)
-        board.enableSharding(shards);
     if (batchSize == 0)
         batchSize = txns.size();
     std::vector<std::uint8_t> raw(txns.size(), 0);
@@ -222,30 +220,43 @@ runSharded(const BoardConfig &cfg,
 
 TEST(ShardEquivTest, BatchPathMatchesSerialWithoutRecorder)
 {
+    // Recorder-less batches queue their retirements and emulate them
+    // in one pass per batch: the production hot path.
     for (const auto &cfg : equivConfigs()) {
         const auto txns = stream(11, 4000);
-        std::vector<bool> serial_ok, batch_ok;
+        std::vector<bool> serial_ok;
         const auto serial = runSerial(cfg.board, txns, &serial_ok);
-        const auto batch = runSharded(cfg.board, txns, 1, &batch_ok);
-        EXPECT_EQ(serial_ok, batch_ok) << cfg.name;
-        expectIdentical(serial, batch, cfg.name + " recorder-less batch");
+        for (std::size_t batch : {std::size_t{0}, std::size_t{7},
+                                  std::size_t{64}}) {
+            std::vector<bool> batch_ok;
+            const auto batched =
+                runBatched(cfg.board, txns, &batch_ok, false, batch);
+            const std::string what = cfg.name +
+                                     " recorder-less batch " +
+                                     std::to_string(batch);
+            EXPECT_EQ(serial_ok, batch_ok) << what;
+            expectIdentical(serial, batched, what);
+        }
     }
 }
 
 TEST(ShardEquivTest, ShardedMatchesSerialAcrossThreadCounts)
 {
+    // Recorded batches emulate inline; sweep them across batch sizes
+    // on every geometry.
     for (const auto &cfg : equivConfigs()) {
         const auto txns = stream(23, 4000);
         std::vector<bool> serial_ok;
         const auto serial = runSerial(cfg.board, txns, &serial_ok, true);
-        for (std::size_t shards : {1u, 2u, 4u, 8u}) {
-            std::vector<bool> sharded_ok;
-            const auto sharded = runSharded(cfg.board, txns, shards,
-                                            &sharded_ok, true);
+        for (std::size_t batch : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{64}}) {
+            std::vector<bool> batch_ok;
+            const auto batched =
+                runBatched(cfg.board, txns, &batch_ok, true, batch);
             const std::string what =
-                cfg.name + " @" + std::to_string(shards) + " shards";
-            EXPECT_EQ(serial_ok, sharded_ok) << what;
-            expectIdentical(serial, sharded, what);
+                cfg.name + " recorded batch " + std::to_string(batch);
+            EXPECT_EQ(serial_ok, batch_ok) << what;
+            expectIdentical(serial, batched, what);
         }
     }
 }
@@ -257,52 +268,10 @@ TEST(ShardEquivTest, ChunkedBatchesMatchOneBigBatch)
     const auto serial = runSerial(cfg, txns, nullptr, true);
     for (std::size_t batch : {std::size_t{1}, std::size_t{7},
                               std::size_t{64}, std::size_t{4096}}) {
-        const auto sharded =
-            runSharded(cfg, txns, 4, nullptr, true, batch);
-        expectIdentical(serial, sharded,
+        expectIdentical(serial,
+                        runBatched(cfg, txns, nullptr, true, batch),
                         "batch size " + std::to_string(batch));
     }
-}
-
-TEST(ShardEquivTest, ShardCountClampsToSmallestNodeWindow)
-{
-    // 2MB / 8 ways / 16KB lines = 16 sets; sampling shift 2 keeps 4.
-    // A 4-set directory can contain at most 4 shards, so a request
-    // for 8 must clamp — and the clamped pool stays bit-exact.
-    BoardConfig cfg = makeUniformBoard(2, 4, cacheCfg(2 * MiB, 4));
-    cfg.nodes[0].cache = cache::CacheConfig{
-        2 * MiB, 8, 16 * KiB, cache::ReplacementPolicy::LRU};
-    cfg.nodes[0].setSamplingShift = 2;
-    {
-        MemoriesBoard board(cfg);
-        EXPECT_EQ(board.enableSharding(8), 4u);
-    }
-    {
-        // Sampling shift 4 leaves a single set: everything must
-        // serialize onto one shard.
-        BoardConfig one = cfg;
-        one.nodes[0].setSamplingShift = 4;
-        MemoriesBoard board(one);
-        EXPECT_EQ(board.enableSharding(8), 1u);
-    }
-
-    // Whatever the clamp chose must still be bit-exact.
-    const auto txns = stream(47, 2000);
-    const auto serial = runSerial(cfg, txns, nullptr, true);
-    const auto sharded = runSharded(cfg, txns, 8, nullptr, true);
-    expectIdentical(serial, sharded, "clamped shard count");
-}
-
-TEST(ShardEquivTest, NonPowerOfTwoRequestRoundsDown)
-{
-    BoardConfig cfg = makeUniformBoard(2, 4, cacheCfg(2 * MiB, 4));
-    MemoriesBoard board(cfg);
-    EXPECT_EQ(board.enableSharding(3), 2u);
-    EXPECT_EQ(board.enableSharding(7), 4u);
-    EXPECT_EQ(board.enableSharding(1), 1u);
-    EXPECT_EQ(board.enableSharding(0), 1u);
-    board.disableSharding();
-    EXPECT_EQ(board.shardCount(), 1u);
 }
 
 TEST(ShardEquivTest, MixedSerialAndBatchFeedsAgree)
@@ -314,7 +283,6 @@ TEST(ShardEquivTest, MixedSerialAndBatchFeedsAgree)
     MemoriesBoard board(cfg);
     trace::FlightRecorder recorder(1 << 14);
     board.attachFlightRecorder(recorder);
-    board.enableSharding(4);
     // First third serial, middle third batched, last third serial.
     const std::size_t third = txns.size() / 3;
     for (std::size_t i = 0; i < third; ++i)
@@ -336,13 +304,12 @@ TEST(ShardEquivTest, DrainAllAfterBatchMatchesSerial)
         serial_board.feedCommitted(t);
     serial_board.drainAll();
 
-    MemoriesBoard sharded_board(cfg);
-    sharded_board.enableSharding(4);
-    sharded_board.feedBatch(txns);
-    sharded_board.drainAll();
+    MemoriesBoard batch_board(cfg);
+    batch_board.feedBatch(txns);
+    batch_board.drainAll();
 
     expectIdentical(signatureOf(serial_board, nullptr),
-                    signatureOf(sharded_board, nullptr),
+                    signatureOf(batch_board, nullptr),
                     "post-drainAll state");
 }
 

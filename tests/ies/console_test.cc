@@ -447,7 +447,7 @@ TEST(ConsoleTest, ProfCommandFamilyDrivesProfiler)
 
     const auto show = console.execute("prof show");
     EXPECT_NE(show.find("feed_batch"), std::string::npos) << show;
-    EXPECT_NE(show.find("shard 0:"), std::string::npos) << show;
+    EXPECT_NE(show.find("emulation"), std::string::npos) << show;
 
     const std::string folded = test::uniqueTempPath("console.folded");
     EXPECT_NE(console.execute("prof dump " + folded)

@@ -136,6 +136,7 @@ serialBaseline()
         }
         return out;
     }();
+    static const test::TempPathGuard cleanup(baseline.tracePath);
     return baseline;
 }
 

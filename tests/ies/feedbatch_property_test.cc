@@ -70,14 +70,18 @@ runSerial(const BoardConfig &cfg,
     return outcomeOf(board, std::move(accepted));
 }
 
+/** feedBatch in chunks of @p batch_size. @p shards > 1 first makes
+ *  the retired enableSharding() call that the benchmark's shard probe
+ *  still makes; the board must clamp it to 1 and change nothing. */
 FeedOutcome
 runBatched(const BoardConfig &cfg,
            const std::vector<bus::BusTransaction> &txns,
            std::size_t batch_size, std::size_t shards)
 {
     MemoriesBoard board(cfg);
-    if (shards > 1)
-        board.enableSharding(shards);
+    if (shards > 1) {
+        EXPECT_EQ(board.enableSharding(shards), 1u);
+    }
     std::vector<std::uint8_t> accepted(txns.size(), 0);
     std::vector<char> flags(batch_size, 0);
     for (std::size_t at = 0; at < txns.size(); at += batch_size) {
@@ -191,7 +195,8 @@ TEST(FeedBatchPropertyTest, BatchSizesAreEquivalentUnderSharding)
     for (std::size_t batch : {std::size_t{1}, std::size_t{7},
                               std::size_t{64}, std::size_t{4096}}) {
         checkEquivalence(cfg, txns, batch, 4,
-                         "sharded batch " + std::to_string(batch));
+                         "batch " + std::to_string(batch) +
+                             " after enableSharding(4)");
     }
 }
 
@@ -209,7 +214,7 @@ TEST(FeedBatchPropertyTest, PacedBufferStaysEquivalent)
         const auto txns = propertyStream(seed);
         for (std::size_t batch :
              {std::size_t{1}, std::size_t{64}, std::size_t{4096}}) {
-            checkEquivalence(cfg, txns, batch, 2,
+            checkEquivalence(cfg, txns, batch, 1,
                              "paced seed " + std::to_string(seed) +
                                  " batch " + std::to_string(batch));
         }

@@ -108,18 +108,18 @@ TEST(DiffLatticeTest, SmallSweepIsClean)
 TEST(DiffLatticeTest, ShardedSweepIsClean)
 {
     // Same miniature sweep, but the production board is fed through
-    // the set-sharded batch pipeline. The oracle never batches, so
-    // this diffs the whole sharded hot path against the naive model;
-    // the 100-seed versions run in CI via oracle_diff --shards.
-    for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+    // feedBatch with no recorder, so its retirements are queued and
+    // emulated in one pass per batch. The oracle never batches, so
+    // this diffs the queued hot path against the naive model; the
+    // 100-seed version runs in CI via oracle_diff --batch=128.
+    for (const std::size_t batch : {std::size_t{7}, std::size_t{128}}) {
         DiffOptions opts;
-        opts.shards = shards;
-        opts.batchSize = 128;
+        opts.batchSize = batch;
         const LatticeRun run = runLattice(1, 2, 300, "", opts);
         EXPECT_EQ(run.comparisons, 2 * latticeConfigs().size());
         for (const auto &div : run.divergences) {
             ADD_FAILURE() << "config " << div.configName << " seed "
-                          << div.seed << " @" << shards << " shards:\n"
+                          << div.seed << " batch " << batch << ":\n"
                           << div.report.describe();
         }
     }
@@ -127,18 +127,20 @@ TEST(DiffLatticeTest, ShardedSweepIsClean)
 
 TEST(DiffHarnessTest, ShardedFeedStillCatchesMutations)
 {
-    // The sharded feed must not blunt the harness: a mutated oracle
-    // still has to diverge when the production side batches.
+    // The batch feed must not blunt the harness: a mutated oracle
+    // still has to diverge when the production side batches, and the
+    // recorded re-run must still hand back a witness dump.
     const auto cfg = conflictBoard(cache::ReplacementPolicy::TreePLRU);
     DiffOptions opts;
     opts.mutation = RefMutation::SkipPlruTouchOnHit;
-    opts.shards = 4;
-    bool caught = false;
-    for (std::uint64_t seed = 1; seed <= 5 && !caught; ++seed)
-        caught = diffStream(cfg, stream(seed, 600, hotParams()), opts)
-                     .diverged;
-    EXPECT_TRUE(caught)
-        << "PLRU mutation survived the sharded-feed harness";
+    opts.batchSize = 128;
+    DiffReport report;
+    for (std::uint64_t seed = 1; seed <= 5 && !report.diverged; ++seed)
+        report = diffStream(cfg, stream(seed, 600, hotParams()), opts);
+    EXPECT_TRUE(report.diverged)
+        << "PLRU mutation survived the batch-feed harness";
+    EXPECT_FALSE(report.flightDump.empty())
+        << "batched divergence carries no flight dump";
 }
 
 TEST(DiffHarnessTest, AgreesOnDefaultBoard)

@@ -2,16 +2,12 @@
  * @file
  * IESPROF non-perturbation tier: attaching a profiler must not change
  * one observable byte of the emulation. "Byte-identical" is taken as
- * literally as in the sharding tier it mirrors: every global and node
+ * literally as in the batch tier it mirrors: every global and node
  * counter, every node's directorySnapshot(), the retirement order,
  * the buffer statistics, and the chrome-trace JSON rendered from the
  * flight-recorder ring must match between an instrumented run and a
- * bare one — across the serial path, the threadless batch path, and
- * the shard pool at every supported worker count.
- *
- * Run under TSan (CI's shard-equivalence leg) this also proves the
- * per-thread shard slabs race-free: workers write their own cells,
- * the pool's fork/join mutex orders them against the coordinator.
+ * bare one — across the serial path and the batch path, with its
+ * retirements emulated inline (recorder attached) or queued (none).
  */
 
 #include <gtest/gtest.h>
@@ -109,7 +105,7 @@ cacheCfg(std::uint64_t bytes, unsigned assoc,
     return cache::CacheConfig{bytes, assoc, 128, policy};
 }
 
-/** The geometries the tier sweeps; same lattice as shard_equiv. */
+/** The geometries the tier sweeps; same lattice as batch_equiv. */
 struct EquivConfig
 {
     std::string name;
@@ -149,16 +145,14 @@ equivConfigs()
 
 enum class Feed
 {
-    Serial,  //!< feedCommitted per element
-    Batch,   //!< feedBatch, threadless
-    Sharded, //!< feedBatch across a worker pool
+    Serial, //!< feedCommitted per element
+    Batch,  //!< feedBatch in chunks of 512
 };
 
 BoardSignature
 run(const ies::BoardConfig &cfg,
     const std::vector<bus::BusTransaction> &txns, Feed feed,
-    std::size_t shards, bool profiled, bool record,
-    Profiler *prof_out = nullptr)
+    bool profiled, bool record, Profiler *prof_out = nullptr)
 {
     ies::MemoriesBoard board(cfg);
     std::unique_ptr<trace::FlightRecorder> recorder;
@@ -170,8 +164,6 @@ run(const ies::BoardConfig &cfg,
     Profiler &prof = prof_out ? *prof_out : local;
     if (profiled)
         board.attachProfiler(prof);
-    if (feed == Feed::Sharded && shards > 1)
-        board.enableSharding(shards);
     if (feed == Feed::Serial) {
         for (const auto &t : txns)
             board.feedCommitted(t);
@@ -191,20 +183,20 @@ TEST(ProfEquivTest, AttachedMatchesDetachedAcrossFeedsAndShards)
     {
         std::string name;
         Feed feed;
-        std::size_t shards;
+        bool record;
     };
     const std::vector<Leg> legs = {
-        {"serial", Feed::Serial, 1},   {"batch@1", Feed::Batch, 1},
-        {"sharded@2", Feed::Sharded, 2}, {"sharded@4", Feed::Sharded, 4},
-        {"sharded@8", Feed::Sharded, 8},
+        {"serial", Feed::Serial, true},
+        {"recorded batch", Feed::Batch, true},
+        {"queued batch", Feed::Batch, false},
     };
     for (const auto &cfg : equivConfigs()) {
         const auto txns = stream(101, 3000);
         for (const auto &leg : legs) {
-            const auto bare = run(cfg.board, txns, leg.feed,
-                                  leg.shards, false, true);
-            const auto profiled = run(cfg.board, txns, leg.feed,
-                                      leg.shards, true, true);
+            const auto bare =
+                run(cfg.board, txns, leg.feed, false, leg.record);
+            const auto profiled =
+                run(cfg.board, txns, leg.feed, true, leg.record);
             expectIdentical(bare, profiled,
                             cfg.name + " " + leg.name);
         }
@@ -214,21 +206,18 @@ TEST(ProfEquivTest, AttachedMatchesDetachedAcrossFeedsAndShards)
 TEST(ProfEquivTest, ProfiledShardedRunActuallyMeasuredSomething)
 {
     // Guard against the equivalence passing vacuously because the
-    // hooks never fired: the instrumented leg must have attributed
-    // real time and real per-shard work.
+    // hooks never fired: the instrumented queued-batch leg must have
+    // attributed real time to admission, pacing and emulation.
     const auto cfgs = equivConfigs();
     const auto txns = stream(211, 3000);
     Profiler prof;
-    run(cfgs.front().board, txns, Feed::Sharded, 4, true, false,
-        &prof);
+    run(cfgs.front().board, txns, Feed::Batch, true, false, &prof);
     const ProfReport report = prof.snapshot();
     EXPECT_GT(report.batches, 0u);
     EXPECT_GT(report.stage(Stage::FeedBatch).estNs(), 0u);
     EXPECT_GT(report.stage(Stage::CreditPacing).calls, 0u);
-    std::uint64_t items = 0;
-    for (const ShardStats &s : report.shards)
-        items += s.items;
-    EXPECT_GT(items, 0u);
+    EXPECT_GT(report.stage(Stage::Emulation).calls, 0u);
+    EXPECT_GT(report.stage(Stage::Emulation).estNs(), 0u);
 }
 
 TEST(ProfEquivTest, MidRunAttachDetachLeavesStateUntouched)
@@ -238,13 +227,11 @@ TEST(ProfEquivTest, MidRunAttachDetachLeavesStateUntouched)
     const ies::BoardConfig cfg =
         ies::makeUniformBoard(2, 4, cacheCfg(2 * MiB, 4));
     const auto txns = stream(307, 3000);
-    const auto bare =
-        run(cfg, txns, Feed::Sharded, 4, false, true);
+    const auto bare = run(cfg, txns, Feed::Batch, false, true);
 
     ies::MemoriesBoard board(cfg);
     trace::FlightRecorder recorder(1 << 14);
     board.attachFlightRecorder(recorder);
-    board.enableSharding(4);
     Profiler prof;
     const std::size_t third = txns.size() / 3;
     auto feed = [&](std::size_t from, std::size_t to) {

@@ -12,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include <unistd.h>
@@ -202,7 +204,8 @@ waitFor(Pred pred, int timeout_ms = 5000)
     return pred();
 }
 
-/** A daemon on a unique socket, started in the ctor, torn down after. */
+/** A daemon on a unique socket, started in the ctor, torn down (state
+ *  directory included) after. */
 struct TestDaemon
 {
     DaemonOptions options;
@@ -222,6 +225,8 @@ struct TestDaemon
     ~TestDaemon()
     {
         daemon->stop();
+        std::error_code ec;
+        std::filesystem::remove_all(options.stateDir, ec);
     }
 
     Daemon &get() { return *daemon; }

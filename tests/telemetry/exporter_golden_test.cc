@@ -120,6 +120,7 @@ TEST(ExporterGoldenTest, PrometheusExposition)
 {
     const std::string path =
         test::uniqueTempPath("memories_prom_test.prom");
+    const test::TempPathGuard cleanup(path);
     PrometheusExporter prom(path);
 
     Sampler sampler(100);

@@ -6,7 +6,7 @@
  * `ctest -j`, so a fixed file name under ::testing::TempDir() is shared
  * by every case that uses it and one case can read another's output.
  * uniqueTempPath() keys the file on the running test's suite and name
- * plus the process id.
+ * plus the process id, and a TempPathGuard removes it again.
  */
 
 #ifndef MEMORIES_TESTS_TESTUTIL_TEMPPATH_HH
@@ -15,7 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <filesystem>
 #include <string>
+#include <system_error>
+#include <utility>
 
 #include <unistd.h>
 
@@ -45,6 +48,30 @@ uniqueTempPath(const std::string &name)
     return ::testing::TempDir() + key + std::to_string(::getpid()) + "." +
            name;
 }
+
+/**
+ * Scope guard for a test's temporary file or directory: removes
+ * @p path, and everything under it, when the guard goes out of scope,
+ * including when a failed ASSERT_* returns from the test early. A
+ * function-local static guard removes a per-process fixture at exit.
+ */
+class TempPathGuard
+{
+  public:
+    explicit TempPathGuard(std::string path) : path_(std::move(path)) {}
+
+    ~TempPathGuard()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path_, ec);
+    }
+
+    TempPathGuard(const TempPathGuard &) = delete;
+    TempPathGuard &operator=(const TempPathGuard &) = delete;
+
+  private:
+    std::string path_;
+};
 
 } // namespace memories::test
 
