@@ -39,19 +39,19 @@ sweep()
 }
 
 /** Record the committed stream of one host run. */
-std::vector<ies::FleetEvent>
+std::vector<bus::BusTransaction>
 recordStream(std::uint64_t refs)
 {
     struct Recorder final : bus::BusObserver
     {
-        std::vector<ies::FleetEvent> events;
+        std::vector<bus::BusTransaction> events;
         void observeResult(const bus::BusTransaction &txn,
                            bus::SnoopResponse combined) override
         {
             if (bus::isFilteredOp(txn.op) ||
                 combined == bus::SnoopResponse::Retry)
                 return;
-            events.push_back(ies::FleetEvent{txn, combined});
+            events.push_back(txn);
         }
     };
 
@@ -94,7 +94,7 @@ main(int argc, char **argv)
             ies::makeMultiConfigBoard(configs, 8));
         bench::Stopwatch sw;
         for (const auto &ev : events)
-            board->feedCommitted(ev.txn);
+            board->feedCommitted(ev);
         board->drainAll();
         const double secs = sw.seconds();
         const double streams = 1.0 / secs;
@@ -116,7 +116,7 @@ main(int argc, char **argv)
         fleet.start(workers);
         bench::Stopwatch sw;
         for (const auto &ev : events)
-            fleet.publish(ev.txn, ev.combined);
+            fleet.publish(ev);
         fleet.finish();
         const double secs = sw.seconds();
         const double streams = 1.0 / secs;

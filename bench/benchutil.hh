@@ -105,6 +105,9 @@ struct BenchResult
     std::string label;
     double seconds = 0;
     double events = 0;
+    /** Seconds of each repeated trial (seconds is their median);
+     *  empty for a section timed once. */
+    std::vector<double> trials;
 
     double
     eventsPerSec() const
@@ -155,10 +158,17 @@ writeJsonResults(const std::string &path, const std::string &bench,
         const BenchResult &r = results[i];
         std::fprintf(f,
                      "    {\"label\": \"%s\", \"seconds\": %.6f, "
-                     "\"events\": %.0f, \"events_per_sec\": %.1f}%s\n",
+                     "\"events\": %.0f, \"events_per_sec\": %.1f",
                      r.label.c_str(), r.seconds, r.events,
-                     r.eventsPerSec(),
-                     i + 1 < results.size() ? "," : "");
+                     r.eventsPerSec());
+        if (!r.trials.empty()) {
+            std::fprintf(f, ", \"trials\": [");
+            for (std::size_t t = 0; t < r.trials.size(); ++t)
+                std::fprintf(f, "%s%.6f", t > 0 ? ", " : "",
+                             r.trials[t]);
+            std::fprintf(f, "]");
+        }
+        std::fprintf(f, "}%s\n", i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ]%s\n", extraJson.empty() ? "" : ",");
     if (!extraJson.empty())

@@ -16,26 +16,27 @@ The baseline may also carry "overhead_gates": ratio *ceilings* between
 two sections of the same run, used to bound the cost of the IESPROF
 profiler (numerator = instrumented section, denominator = its plain
 twin, max_ratio = the ceiling, checked without extra tolerance since
-the ceiling already embeds the allowance). An overhead gate whose
-sections are absent (the bench ran without --profile) is skipped with
-a note rather than failed.
+the ceiling already embeds the allowance). When the sections carry
+"trials" (interleaved runs, one per pair), the verdict is the median of
+the per-pair ratios, so one noisy run cannot decide it. An overhead
+gate whose sections are absent (the bench ran without --profile) is
+skipped with a note rather than failed.
 
 When the results file carries a "profile" object (bench ran with
---profile), the per-stage attribution is sanity-checked: the direct
-children of feed_batch must sum to within 10% of feed_batch itself —
-wildly unattributed time means a hook site went missing.
-
-With --history FILE, also prints the ns/ref trajectory of the batch@1
-section from bench/BENCH_history.jsonl (one JSON object per line,
-appended per CI run by append_bench_history.py).
+--profile), the per-stage attribution is checked: no stage may report
+more time than its parent (each child is timed inside its parent's
+clock pair, so a child above its parent means a broken hook), and the
+direct children of feed_batch must sum to within 10% of feed_batch
+itself — wildly unattributed time means a hook site went missing.
 
 Usage:
     check_bench_regression.py BENCH_throughput.json [--baseline FILE]
-                              [--tolerance 0.10] [--history FILE]
+                              [--tolerance 0.10]
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -57,18 +58,32 @@ def load_json(path, what):
                          f"{exc}")
 
 
-def section_ns_per_ref(doc, label, required=True):
+def find_section(doc, label, required=True):
     for section in doc.get("sections", []):
         if section["label"] == label:
             if section["events"] <= 0:
                 raise SystemExit(f"error: section {label!r} has zero "
                                  "events — malformed results file")
-            return section["seconds"] / section["events"] * 1e9
+            return section
     if required:
         raise SystemExit(f"section {label!r} missing from "
                          f"{doc.get('bench', '?')} results — did a "
                          "bench label change?")
     return None
+
+
+def section_ns_per_ref(doc, label, required=True):
+    section = find_section(doc, label, required)
+    if section is None:
+        return None
+    return section["seconds"] / section["events"] * 1e9
+
+
+def trial_ns_per_ref(section):
+    """ns/ref of each interleaved trial; a section without "trials"
+    is one trial."""
+    trials = section.get("trials", [section["seconds"]])
+    return [s / section["events"] * 1e9 for s in trials]
 
 
 def check_speedup_gates(results, baseline, tolerance):
@@ -94,26 +109,33 @@ def check_speedup_gates(results, baseline, tolerance):
 def check_overhead_gates(results, baseline):
     failures = []
     for gate in baseline.get("overhead_gates", []):
-        num = section_ns_per_ref(results, gate["numerator"],
-                                 required=False)
-        den = section_ns_per_ref(results, gate["denominator"],
-                                 required=False)
+        num = find_section(results, gate["numerator"], required=False)
+        den = find_section(results, gate["denominator"], required=False)
         if num is None or den is None:
             print(f"[SKIP] {gate['name']}: profiled sections absent "
                   "(bench ran without --profile)")
             continue
-        measured = num / den
+        num_ns = trial_ns_per_ref(num)
+        den_ns = trial_ns_per_ref(den)
+        if len(num_ns) != len(den_ns):
+            raise SystemExit(f"error: {gate['name']}: "
+                             f"{len(num_ns)} vs {len(den_ns)} trials — "
+                             "the sections must run as pairs")
+        ratios = [n / d for n, d in zip(num_ns, den_ns)]
+        measured = statistics.median(ratios)
         verdict = "OK" if measured <= gate["max_ratio"] else "FAIL"
-        print(f"[{verdict}] {gate['name']}: {num:.1f} ns/ref vs "
-              f"{den:.1f} ns/ref = {measured:.3f}x "
-              f"(ceiling {gate['max_ratio']:.2f}x)")
+        print(f"[{verdict}] {gate['name']}: median of {len(ratios)} "
+              f"paired ratios = {measured:.3f}x "
+              f"(ceiling {gate['max_ratio']:.2f}x; pairs "
+              + " ".join(f"{r:.3f}" for r in ratios) + ")")
         if measured > gate["max_ratio"]:
             failures.append(gate["name"])
     return failures
 
 
 def check_profile_attribution(results):
-    """feed_batch's direct children must account for ~all of it."""
+    """No stage above its parent; feed_batch's direct children must
+    account for ~all of it."""
     profile = results.get("profile")
     if not profile:
         return []
@@ -123,6 +145,16 @@ def check_profile_attribution(results):
         print("[SKIP] profile attribution: no feed_batch time "
               "recorded")
         return []
+    failures = []
+    # The stage tree is flat: every stage's parent is feed_batch.
+    for name, ns in stages.items():
+        if name == "feed_batch":
+            continue
+        verdict = "OK" if ns <= total else "FAIL"
+        print(f"[{verdict}] profile nesting: {name} {ns} ns <= "
+              f"parent feed_batch {total} ns")
+        if ns > total:
+            failures.append(f"profile nesting ({name})")
     children = ("batch_admission", "emulation")
     attributed = sum(stages.get(name, 0) for name in children)
     share = attributed / total
@@ -130,7 +162,9 @@ def check_profile_attribution(results):
     print(f"[{verdict}] profile attribution: stages cover "
           f"{share:.1%} of feed_batch "
           f"({attributed} of {total} ns)")
-    return [] if verdict == "OK" else ["profile attribution"]
+    if verdict != "OK":
+        failures.append("profile attribution")
+    return failures
 
 
 def check_service_gates(results, baseline):
@@ -189,47 +223,12 @@ def check_service_gates(results, baseline):
     return failures
 
 
-def print_history(path, label="feed batch"):
-    try:
-        with open(path) as f:
-            lines = [line.strip() for line in f if line.strip()]
-    except FileNotFoundError:
-        print(f"\nbench trajectory: no history yet ({path!r} does "
-              "not exist — append_bench_history.py creates it on "
-              "the first recorded run)")
-        return
-    except OSError as exc:
-        print(f"note: cannot read history {path!r}: {exc}")
-        return
-    if not lines:
-        print(f"\nbench trajectory: no history yet ({path!r} is "
-              "empty — append_bench_history.py adds one line per "
-              "recorded run)")
-        return
-    print(f"\nbench trajectory ({label!r}, {len(lines)} runs):")
-    for lineno, line in enumerate(lines, 1):
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            print(f"  line {lineno}: <malformed, skipped>")
-            continue
-        ns = entry.get("ns_per_ref", {}).get(label)
-        sha = entry.get("git_sha", "?")[:12]
-        if ns is None:
-            print(f"  {sha}  <section absent>")
-        else:
-            print(f"  {sha}  {ns:8.1f} ns/ref")
-
-
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("results")
     parser.add_argument("--baseline",
                         default="bench/BENCH_throughput.baseline.json")
     parser.add_argument("--tolerance", type=float, default=0.10)
-    parser.add_argument("--history", default=None,
-                        help="BENCH_history.jsonl to print the "
-                        "ns/ref trajectory from")
     args = parser.parse_args()
 
     results = load_json(args.results, "results")
@@ -240,9 +239,6 @@ def main():
     failures += check_overhead_gates(results, baseline)
     failures += check_profile_attribution(results)
     failures += check_service_gates(results, baseline)
-
-    if args.history:
-        print_history(args.history)
 
     if failures:
         print(f"\nbench regression gate FAILED: {', '.join(failures)}")

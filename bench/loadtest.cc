@@ -196,7 +196,7 @@ main(int argc, char **argv)
         return 1;
     }
     sections.push_back({"ingest solo", soloSeconds,
-                        static_cast<double>(solo.totals.accepted)});
+                        static_cast<double>(solo.totals.accepted), {}});
     std::printf("solo: %llu refs in %.3fs = %.0f refs/s "
                 "(%llu feed lines)\n",
                 static_cast<unsigned long long>(solo.totals.accepted),
@@ -237,7 +237,7 @@ main(int argc, char **argv)
     const double p99 = percentile(latencies, 99);
 
     sections.push_back({"ingest fleet", fleetSeconds,
-                        static_cast<double>(accepted)});
+                        static_cast<double>(accepted), {}});
     std::printf("fleet: %zu/%zu sessions sustained, %llu refs in "
                 "%.3fs = %.0f refs/s aggregate\n",
                 sustained, args.clients,

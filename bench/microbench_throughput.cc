@@ -50,10 +50,11 @@ main(int argc, char **argv)
     std::vector<bench::BenchResult> results;
     std::string profile_json; // "\"profile\": {...}" when --profile ran
     auto report = [&results](const char *label, double seconds,
-                             double count) {
+                             double count,
+                             std::vector<double> trials = {}) {
         std::printf("%-34s %8.1f M/s  %6.1f ns/ref\n", label,
                     count / seconds / 1e6, seconds / count * 1e9);
-        results.push_back({label, seconds, count});
+        results.push_back({label, seconds, count, std::move(trials)});
     };
 
     {
@@ -127,39 +128,63 @@ main(int argc, char **argv)
             report("feed serial (feedCommitted)", clock.seconds(),
                    static_cast<double>(trace.size()));
         }
-        {
-            ies::MemoriesBoard board(config);
-            bench::Stopwatch clock;
-            feed_batches(board, trace.size());
-            report("feed batch", clock.seconds(),
-                   static_cast<double>(trace.size()));
-        }
-        if (!args.profileDir.empty()) {
-            // The batch rung again with an IESPROF profiler attached:
-            // the (profiled) row vs its plain twin above is the
-            // measured-overhead gate (<5%, enforced by
-            // check_bench_regression.py), and the stage breakdown
-            // becomes the "profile" object in the JSON artifact.
-            std::filesystem::create_directories(args.profileDir);
-            {
+        // The batch rung, and with --profile its IESPROF-instrumented
+        // twin: the (profiled) row vs the plain one is the measured-
+        // overhead gate (<5%, enforced by check_bench_regression.py on
+        // the median of the per-pair ratios). The twins run as
+        // interleaved pairs, alternating which goes first, so drift in
+        // the machine's speed lands on both sides of every ratio; the
+        // pair count is even, so each order runs equally often and a
+        // second-run penalty cannot tilt the median.
+        const bool profiling = !args.profileDir.empty();
+        const std::size_t pairs = profiling ? 12 : 1;
+        std::vector<double> plain_s, profiled_s;
+        profile::Profiler prof; // keeps the last profiled run
+        for (std::size_t pair = 0; pair < pairs; ++pair) {
+            for (const bool profiled : {pair % 2 == 1, pair % 2 == 0}) {
+                if (profiled && !profiling)
+                    continue;
                 ies::MemoriesBoard board(config);
-                profile::Profiler prof;
-                board.attachProfiler(prof);
+                if (profiled) {
+                    prof.reset();
+                    board.attachProfiler(prof);
+                }
                 bench::Stopwatch clock;
                 feed_batches(board, trace.size());
-                report("feed batch (profiled)", clock.seconds(),
-                       static_cast<double>(trace.size()));
-                const std::string folded =
-                    args.profileDir + "/microbench_profile.folded";
-                profile::writeFoldedFile(prof, folded);
-                std::printf("  flamegraph stacks -> %s\n",
-                            folded.c_str());
-                profile_json =
-                    "\"profile\": " +
-                    profile::profileJson(
-                        prof, static_cast<std::uint64_t>(trace.size()));
-                std::printf("%s", prof.describe().c_str());
+                (profiled ? profiled_s : plain_s)
+                    .push_back(clock.seconds());
             }
+        }
+        const auto median = [](std::vector<double> v) {
+            std::sort(v.begin(), v.end());
+            const std::size_t m = v.size() / 2;
+            return v.size() % 2 == 1 ? v[m] : (v[m - 1] + v[m]) / 2;
+        };
+        const auto report_trials = [&](const char *label,
+                                       const std::vector<double> &t) {
+            report(label, median(t), static_cast<double>(trace.size()),
+                   t.size() > 1 ? t : std::vector<double>{});
+        };
+        report_trials("feed batch", plain_s);
+        if (profiling) {
+            report_trials("feed batch (profiled)", profiled_s);
+            std::printf("  profiled/plain per pair:");
+            for (std::size_t i = 0; i < pairs; ++i)
+                std::printf(" %.3f", profiled_s[i] / plain_s[i]);
+            std::printf("\n");
+            // The stage breakdown of the last profiled run becomes the
+            // "profile" object in the JSON artifact.
+            std::filesystem::create_directories(args.profileDir);
+            const std::string folded =
+                args.profileDir + "/microbench_profile.folded";
+            profile::writeFoldedFile(prof, folded);
+            std::printf("  flamegraph stacks -> %s\n", folded.c_str());
+            profile_json =
+                "\"profile\": " +
+                profile::profileJson(
+                    prof, static_cast<std::uint64_t>(trace.size()));
+            std::printf("%s", prof.describe().c_str());
+
             // A short recorder+profiler run for the merged timeline:
             // emulated spans (pids 0/1+) and emulator stage spans
             // (pid 99) in one chrome://tracing file.
@@ -167,14 +192,14 @@ main(int argc, char **argv)
                 ies::MemoriesBoard board(config);
                 trace::FlightRecorder recorder(std::size_t{1} << 16);
                 board.attachFlightRecorder(recorder, 0);
-                profile::Profiler prof;
-                board.attachProfiler(prof);
+                profile::Profiler timeline;
+                board.attachProfiler(timeline);
                 feed_batches(board, std::min<std::size_t>(trace.size(),
                                                           64 * chunk));
                 const std::string merged =
                     args.profileDir + "/microbench_profile.chrome.json";
                 profile::writeMergedChromeTraceFile(
-                    recorder.snapshot(), prof, merged, &recorder);
+                    recorder.snapshot(), timeline, merged, &recorder);
                 std::printf("  merged chrome trace -> %s\n",
                             merged.c_str());
             }

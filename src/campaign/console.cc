@@ -6,6 +6,7 @@
 #include "campaign/runner.hh"
 #include "checkpoint/io.hh"
 #include "common/logging.hh"
+#include "common/units.hh"
 #include "oracle/diff.hh"
 
 namespace memories::campaign
@@ -17,10 +18,10 @@ namespace
 std::uint64_t
 parseCount(const std::string &token, const char *what)
 {
-    if (token.empty() ||
-        token.find_first_not_of("0123456789") != std::string::npos)
+    std::uint64_t value = 0;
+    if (parseDecimal(token, value) != DecimalParse::Ok)
         fatal("bad ", what, " '", token, "'");
-    return std::stoull(token);
+    return value;
 }
 
 std::string

@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "common/logging.hh"
+#include "common/units.hh"
 
 namespace memories::campaign
 {
@@ -13,10 +14,10 @@ namespace
 std::uint64_t
 parseUint(const std::string &token, const std::string &spec)
 {
-    if (token.empty() ||
-        token.find_first_not_of("0123456789") != std::string::npos)
+    std::uint64_t value = 0;
+    if (parseDecimal(token, value) != DecimalParse::Ok)
         fatal("bad number '", token, "' in fault spec '", spec, "'");
-    return std::stoull(token);
+    return value;
 }
 
 } // namespace

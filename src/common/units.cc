@@ -1,7 +1,9 @@
 #include "common/units.hh"
 
-#include <cctype>
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <limits>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -9,26 +11,38 @@
 namespace memories
 {
 
+DecimalParse
+parseDecimal(std::string_view text, std::uint64_t &value)
+{
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string_view::npos)
+        return DecimalParse::Malformed;
+    // All digits, so the only way from_chars can fail is overflow.
+    std::uint64_t parsed = 0;
+    if (std::from_chars(text.data(), text.data() + text.size(), parsed)
+            .ec != std::errc())
+        return DecimalParse::OutOfRange;
+    value = parsed;
+    return DecimalParse::Ok;
+}
+
 std::uint64_t
 parseByteSize(std::string_view text)
 {
     if (text.empty())
         fatal("empty byte-size string");
 
-    std::size_t pos = 0;
-    std::uint64_t value = 0;
-    bool have_digit = false;
-    while (pos < text.size() &&
-           std::isdigit(static_cast<unsigned char>(text[pos]))) {
-        value = value * 10 + static_cast<std::uint64_t>(text[pos] - '0');
-        have_digit = true;
-        ++pos;
-    }
-    if (!have_digit)
+    const std::size_t digits = std::min(
+        text.find_first_not_of("0123456789"), text.size());
+    if (digits == 0)
         fatal("byte-size string '", std::string(text),
               "' does not start with a number");
+    std::uint64_t value = 0;
+    if (parseDecimal(text.substr(0, digits), value) != DecimalParse::Ok)
+        fatal("byte-size string '", std::string(text),
+              "' is out of range");
 
-    std::string_view unit = text.substr(pos);
+    std::string_view unit = text.substr(digits);
     std::uint64_t scale = 1;
     if (unit.empty() || unit == "B" || unit == "b") {
         scale = 1;
@@ -41,6 +55,9 @@ parseByteSize(std::string_view text)
     } else {
         fatal("unknown byte-size unit '", std::string(unit), "'");
     }
+    if (value > std::numeric_limits<std::uint64_t>::max() / scale)
+        fatal("byte-size string '", std::string(text),
+              "' is out of range");
     return value * scale;
 }
 

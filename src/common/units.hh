@@ -1,10 +1,12 @@
 /**
  * @file
- * Human-readable byte sizes and durations.
+ * Human-readable numbers, byte sizes and durations.
  *
  * The console software configures the board with strings like "64MB" or
  * "1GB"; these helpers parse and print them. Sizes are binary (MB == MiB),
- * matching the paper's usage.
+ * matching the paper's usage. Every unsigned decimal token read from
+ * outside the process (console, wire, manifests, fault plans) goes
+ * through parseDecimal().
  */
 
 #ifndef MEMORIES_COMMON_UNITS_HH
@@ -17,9 +19,25 @@
 namespace memories
 {
 
+/** Outcome of parseDecimal(). */
+enum class DecimalParse
+{
+    Ok,
+    Malformed,  //!< empty, or anything but ASCII digits (no sign)
+    OutOfRange, //!< only digits, but above 2^64 - 1
+};
+
+/**
+ * Parse @p text as one or more ASCII digits into @p value: no sign,
+ * no whitespace, no base prefix, no overflow. @p value is written
+ * only on Ok.
+ */
+DecimalParse parseDecimal(std::string_view text, std::uint64_t &value);
+
 /**
  * Parse a byte-size string such as "128B", "2KB", "64MB", "8GB".
- * A bare number is taken as bytes. Throws FatalError on malformed input.
+ * A bare number is taken as bytes. Throws FatalError on malformed
+ * input and on sizes that do not fit in 64 bits.
  */
 std::uint64_t parseByteSize(std::string_view text);
 

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/units.hh"
 
 namespace memories::fault
 {
@@ -44,13 +45,7 @@ std::uint64_t
 parseU64(const std::string &token, const std::string &line)
 {
     std::uint64_t v = 0;
-    std::size_t used = 0;
-    try {
-        v = std::stoull(token, &used);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    if (used != token.size())
+    if (parseDecimal(token, v) != DecimalParse::Ok)
         fatal("fault plan: bad integer '", token, "' in '", line, "'");
     return v;
 }

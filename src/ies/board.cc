@@ -210,17 +210,8 @@ MemoriesBoard::drainDue(Cycle now)
         }
         return;
     }
-    // Queue everything due in one credit-earning pass. This is the
-    // only per-tenure-frequency profiler hook, so it is sampled (1 in
-    // 2^6 timed) instead of paying a clock pair every call.
-    if (prof_) {
-        const std::uint64_t t0 =
-            prof_->sampledBegin(profile::Stage::CreditPacing);
-        buffer_.drainInto(now, retireSlab_);
-        prof_->sampledEnd(profile::Stage::CreditPacing, t0);
-    } else {
-        buffer_.drainInto(now, retireSlab_);
-    }
+    // Queue everything due in one credit-earning pass.
+    buffer_.drainInto(now, retireSlab_);
 }
 
 MemoriesBoard::Admission

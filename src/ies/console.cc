@@ -161,17 +161,10 @@ parseNumber(const std::string &token)
 {
     if (token.empty() || token[0] == '-')
         fatal("'", token, "' is not a non-negative number");
-    try {
-        std::size_t pos = 0;
-        const auto value = std::stoull(token, &pos, 10);
-        if (pos != token.size())
-            fatal("'", token, "' is not a number");
-        return value;
-    } catch (const FatalError &) {
-        throw;
-    } catch (const std::exception &) {
+    std::uint64_t value = 0;
+    if (parseDecimal(token, value) != DecimalParse::Ok)
         fatal("'", token, "' is not a number");
-    }
+    return value;
 }
 
 std::vector<CpuId>

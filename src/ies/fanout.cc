@@ -32,7 +32,7 @@ EventRing::freeSpaceLocked() const
 }
 
 void
-EventRing::push(const FleetEvent *events, std::size_t n)
+EventRing::push(const bus::BusTransaction *events, std::size_t n)
 {
     std::unique_lock lock(mu_);
     std::size_t done = 0;
@@ -67,7 +67,7 @@ EventRing::close()
 }
 
 std::size_t
-EventRing::pop(std::size_t c, FleetEvent *out, std::size_t max,
+EventRing::pop(std::size_t c, bus::BusTransaction *out, std::size_t max,
                bool *drained)
 {
     std::unique_lock lock(mu_);
@@ -232,12 +232,11 @@ ExperimentFleet::replayFile(const std::string &path, std::size_t workers)
 }
 
 void
-ExperimentFleet::publish(const bus::BusTransaction &txn,
-                         bus::SnoopResponse combined)
+ExperimentFleet::publish(const bus::BusTransaction &txn)
 {
     if (!running_)
         fatal("ExperimentFleet::publish before start()");
-    producerBuf_.push_back(FleetEvent{txn, combined});
+    producerBuf_.push_back(txn);
     ++published_;
     if (producerBuf_.size() >= opts_.batchSize)
         flushProducer();
@@ -258,7 +257,7 @@ ExperimentFleet::observeResult(const bus::BusTransaction &txn,
         ++tapRetryDropped_;
         return;
     }
-    publish(txn, combined);
+    publish(txn);
 }
 
 void
@@ -279,7 +278,7 @@ ExperimentFleet::workerMain(std::size_t worker, std::size_t worker_count)
     if (owned.empty())
         return;
 
-    std::vector<FleetEvent> batch(opts_.batchSize);
+    std::vector<bus::BusTransaction> batch(opts_.batchSize);
     while (true) {
         bool progressed = false;
         bool all_drained = true;
@@ -302,12 +301,12 @@ ExperimentFleet::workerMain(std::size_t worker, std::size_t worker_count)
 }
 
 void
-ExperimentFleet::feedBoard(std::size_t i, const FleetEvent *events,
+ExperimentFleet::feedBoard(std::size_t i, const bus::BusTransaction *events,
                            std::size_t n)
 {
     MemoriesBoard &b = *boards_[i];
     for (std::size_t k = 0; k < n; ++k) {
-        if (!b.feedCommitted(events[k].txn)) {
+        if (!b.feedCommitted(events[k])) {
             // A live board would have posted a bus retry and seen the
             // host replay the tenure; in replay there is no host to
             // replay it, so the event is lost to this board only.

@@ -10,8 +10,8 @@
  * MemoriesBoard instances at once.
  *
  * ExperimentFleet implements that fan-out. A single tap attaches to the
- * host Bus6xx as a BusObserver, records every committed tenure together
- * with its combined snoop response into a bounded broadcast ring, and a
+ * host Bus6xx as a BusObserver, records every committed tenure (retried
+ * tenures are dropped at the tap) into a bounded broadcast ring, and a
  * std::thread pool replays the stream into M independently-configured
  * boards (one board per ring cursor, no shared mutable state between
  * boards, each seeded deterministically). The same machinery replays a
@@ -55,13 +55,6 @@
 namespace memories::ies
 {
 
-/** One committed address tenure with its combined host snoop response. */
-struct FleetEvent
-{
-    bus::BusTransaction txn;
-    bus::SnoopResponse combined = bus::SnoopResponse::None;
-};
-
 /**
  * Bounded single-producer broadcast ring with one cursor per consumer.
  *
@@ -77,7 +70,7 @@ class EventRing
     EventRing(std::size_t capacity, std::size_t consumers);
 
     /** Producer: append @p n events, blocking while the ring is full. */
-    void push(const FleetEvent *events, std::size_t n);
+    void push(const bus::BusTransaction *events, std::size_t n);
 
     /** Producer: no more events will arrive; wakes every consumer. */
     void close();
@@ -87,7 +80,7 @@ class EventRing
      * @p drained is non-null it reports, under the same lock, whether
      * the ring is closed and @p c has now consumed everything.
      */
-    std::size_t pop(std::size_t c, FleetEvent *out, std::size_t max,
+    std::size_t pop(std::size_t c, bus::BusTransaction *out, std::size_t max,
                     bool *drained = nullptr);
 
     /** True once the ring is closed and @p c has consumed everything. */
@@ -111,7 +104,7 @@ class EventRing
     mutable std::mutex mu_;
     std::condition_variable notFull_;  //!< producer waits here
     std::condition_variable notEmpty_; //!< consumers wait here
-    std::vector<FleetEvent> ring_;
+    std::vector<bus::BusTransaction> ring_;
     std::vector<std::uint64_t> tails_;  //!< absolute per-consumer cursors
     std::vector<std::uint64_t> stalls_; //!< blocking episodes per laggard
     std::uint64_t head_ = 0;            //!< absolute events pushed
@@ -192,9 +185,8 @@ class ExperimentFleet final : public bus::BusObserver
     /**
      * Offline mode: replay a captured trace file into the fleet using
      * @p workers threads. Equivalent to start(); publish() per record;
-     * finish(). Captured traces hold only committed tenures, so the
-     * combined response is fed as None (boards never read it except to
-     * reject retried tenures, which a capture cannot contain).
+     * finish(). Captured traces hold only committed tenures, the same
+     * stream the live tap publishes.
      */
     void replayFile(const std::string &path, std::size_t workers);
 
@@ -202,10 +194,10 @@ class ExperimentFleet final : public bus::BusObserver
      * Feed one committed tenure from a custom source (offline mode).
      * Events are batched; the ring sees them in publication order.
      */
-    void publish(const bus::BusTransaction &txn,
-                 bus::SnoopResponse combined = bus::SnoopResponse::None);
+    void publish(const bus::BusTransaction &txn);
 
-    /** BusObserver tap: records committed memory tenures. */
+    /** BusObserver tap: publishes committed memory tenures; retried
+     *  ones are dropped here, so the ring never carries a response. */
     void observeResult(const bus::BusTransaction &txn,
                        bus::SnoopResponse combined) override;
 
@@ -353,7 +345,7 @@ class ExperimentFleet final : public bus::BusObserver
 
   private:
     void workerMain(std::size_t worker, std::size_t worker_count);
-    void feedBoard(std::size_t i, const FleetEvent *events,
+    void feedBoard(std::size_t i, const bus::BusTransaction *events,
                    std::size_t n);
     void flushProducer();
     void requireIdle(const char *what) const;
@@ -363,7 +355,7 @@ class ExperimentFleet final : public bus::BusObserver
     std::vector<std::string> labels_;
     std::unique_ptr<EventRing> ring_;
     std::vector<std::thread> workers_;
-    std::vector<FleetEvent> producerBuf_;
+    std::vector<bus::BusTransaction> producerBuf_;
     bus::Bus6xx *tappedBus_ = nullptr;
     bool running_ = false;
 

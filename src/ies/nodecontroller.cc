@@ -30,7 +30,7 @@ NodeController::NodeController(NodeId id, const NodeConfig &config,
       protocol_(config.protocol)
 {
     lineShift_ = log2i(config.cache.lineSize);
-    sampleMask_ = lowMask(config.setSamplingShift);
+    setSamplingMask_ = lowMask(config.setSamplingShift);
     // CPU-range errors are caught up front (with every other problem)
     // by BoardConfig::validationErrors, which MemoriesBoard::make runs
     // once; ids are masked here so a directly-built controller with an
@@ -128,7 +128,7 @@ NodeController::geometrySignature() const
 bool
 NodeController::inSample(Addr addr) const
 {
-    return ((addr >> lineShift_) & sampleMask_) == 0;
+    return ((addr >> lineShift_) & setSamplingMask_) == 0;
 }
 
 Addr

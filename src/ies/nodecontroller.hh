@@ -293,7 +293,8 @@ class NodeController
     std::vector<Addr> corrupted_;
 
     unsigned lineShift_ = 0;
-    std::uint64_t sampleMask_ = 0; //!< low set-index bits that must be 0
+    /** Low set-index bits that must be 0 for a tracked set. */
+    std::uint64_t setSamplingMask_ = 0;
 };
 
 } // namespace memories::ies

@@ -55,7 +55,7 @@ RefBoard::RefBoard(const ies::BoardConfig &config, std::uint64_t seed,
         Node node;
         node.cfg = config_.nodes[i];
         node.lineShift = log2i(node.cfg.cache.lineSize);
-        node.sampleMask = lowMask(node.cfg.setSamplingShift);
+        node.setSamplingMask = lowMask(node.cfg.setSamplingShift);
         // Set sampling shrinks the directory to 1/2^shift of the sets,
         // exactly as the production board builds its reduced TagStore.
         const std::uint64_t sampled_sets =
@@ -327,7 +327,7 @@ RefBoard::directorySnapshot(std::size_t node) const
 bool
 RefBoard::inSample(const Node &node, Addr addr) const
 {
-    return ((addr >> node.lineShift) & node.sampleMask) == 0;
+    return ((addr >> node.lineShift) & node.setSamplingMask) == 0;
 }
 
 Addr

@@ -186,7 +186,7 @@ class RefBoard
     {
         ies::NodeConfig cfg;
         unsigned lineShift = 0;
-        std::uint64_t sampleMask = 0;
+        std::uint64_t setSamplingMask = 0;
         std::uint64_t setMask = 0;
         unsigned assoc = 0;
         /** Set index -> set, created on first touch. */

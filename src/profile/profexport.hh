@@ -7,8 +7,8 @@
  * Three renderings of one Profiler:
  *
  *  - foldedStacks() emits `flamegraph.pl` / speedscope folded lines
- *    ("feed_batch;batch_admission;credit_pacing 1234"), weights in
- *    estimated nanoseconds, self time per frame clamped at zero.
+ *    ("feed_batch;batch_admission 1234"), weights in measured
+ *    nanoseconds, self time per frame clamped at zero.
  *
  *  - mergedChromeTrace() appends the profiler's batch spans to an
  *    emulated lifecycle trace on dedicated pid 99 so emulator cost and
@@ -21,8 +21,7 @@
  *    pair.
  *
  *  - profileJson() renders the per-stage ns and ns/ref breakdown that
- *    `bench --profile` embeds in BENCH_throughput.json and the
- *    bench-trajectory pipeline tracks per commit.
+ *    `bench --profile` embeds in BENCH_throughput.json.
  */
 
 #ifndef MEMORIES_PROFILE_PROFEXPORT_HH

@@ -23,10 +23,9 @@ stageName(Stage stage)
 }
 
 Stage
-stageParent(Stage stage)
+stageParent(Stage)
 {
-    return stage == Stage::CreditPacing ? Stage::BatchAdmission
-                                        : Stage::FeedBatch;
+    return Stage::FeedBatch;
 }
 
 Profiler::Profiler(std::size_t span_capacity)
@@ -42,11 +41,9 @@ Profiler::reset()
 {
     for (StageCell &c : stageCells_) {
         c.calls.store(0, std::memory_order_relaxed);
-        c.timed.store(0, std::memory_order_relaxed);
         c.ns.store(0, std::memory_order_relaxed);
         c.batchNs.store(0, std::memory_order_relaxed);
     }
-    sampleSeq_ = 0;
     batches_ = 0;
     ring_.clear();
     spansDropped_ = 0;
@@ -85,14 +82,12 @@ Profiler::endBatch(Cycle last_cycle, std::uint64_t root_t0)
     StageCell &root =
         stageCells_[static_cast<std::size_t>(Stage::FeedBatch)];
     bump(root.calls, 1);
-    bump(root.timed, 1);
     bump(root.ns, wall);
 
     const Cycle begin = batchBeginCycle_;
     const Cycle end = std::max(last_cycle, begin);
     pushSpan(Stage::FeedBatch, begin, end, wall);
-    for (Stage s : {Stage::BatchAdmission, Stage::CreditPacing,
-                    Stage::Emulation}) {
+    for (Stage s : {Stage::BatchAdmission, Stage::Emulation}) {
         const std::uint64_t ns =
             stageCells_[static_cast<std::size_t>(s)].batchNs.load(
                 std::memory_order_relaxed);
@@ -110,8 +105,6 @@ Profiler::snapshot() const
         const StageCell &c = stageCells_[i];
         report.stages[i].calls =
             c.calls.load(std::memory_order_relaxed);
-        report.stages[i].timed =
-            c.timed.load(std::memory_order_relaxed);
         report.stages[i].ns = c.ns.load(std::memory_order_relaxed);
     }
     report.batches = batches_;
@@ -152,34 +145,25 @@ Profiler::describe() const
 {
     const ProfReport r = snapshot();
     const double total = static_cast<double>(
-        std::max<std::uint64_t>(r.stage(Stage::FeedBatch).estNs(), 1));
+        std::max<std::uint64_t>(r.stage(Stage::FeedBatch).ns, 1));
     std::ostringstream os;
     os << "IESPROF: " << r.batches << " batches, " << r.spansRecorded
        << " spans";
     if (r.spansDropped > 0)
         os << " (" << r.spansDropped << " dropped)";
     os << "\n";
-    os << "  stage               calls        est time    share\n";
-    for (std::size_t i = 0; i < numStages; ++i) {
-        const Stage s = static_cast<Stage>(i);
-        const StageStats &st = r.stages[i];
+    os << "  stage               calls            time    share\n";
+    for (const Stage s : recordedStages) {
+        const StageStats &st = r.stage(s);
         if (st.calls == 0)
             continue;
-        const std::uint64_t est = st.estNs();
-        const char *indent =
-            s == Stage::FeedBatch                ? ""
-            : stageParent(s) == Stage::FeedBatch ? "  "
-                                                 : "    ";
-        std::ostringstream label;
-        label << indent << stageName(s);
-        os << "  " << std::left << std::setw(20) << label.str()
-           << std::right << std::setw(8) << st.calls << std::setw(16)
-           << fmtNs(est) << std::setw(8) << std::fixed
-           << std::setprecision(1)
-           << 100.0 * static_cast<double>(est) / total << "%";
-        if (st.timed != st.calls)
-            os << "  (sampled " << st.timed << "/" << st.calls << ")";
-        os << "\n";
+        const std::string label =
+            (s == Stage::FeedBatch ? "" : "  ") +
+            std::string(stageName(s));
+        os << "  " << std::left << std::setw(20) << label << std::right
+           << std::setw(8) << st.calls << std::setw(16) << fmtNs(st.ns)
+           << std::setw(8) << std::fixed << std::setprecision(1)
+           << 100.0 * static_cast<double>(st.ns) / total << "%\n";
     }
     return os.str();
 }
@@ -188,10 +172,9 @@ void
 Profiler::attachTelemetry(telemetry::Sampler &sampler,
                           const std::string &prefix)
 {
-    for (std::size_t i = 0; i < numStages; ++i) {
-        const StageCell *cell = &stageCells_[i];
-        const std::string base =
-            prefix + ".stage." + stageName(static_cast<Stage>(i));
+    for (const Stage s : recordedStages) {
+        const StageCell *cell = &stageCells_[static_cast<std::size_t>(s)];
+        const std::string base = prefix + ".stage." + stageName(s);
         sampler.addValue(base + ".ns", [cell] {
             return cell->ns.load(std::memory_order_relaxed);
         });

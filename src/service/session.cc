@@ -6,6 +6,7 @@
 #include "campaign/console.hh"
 #include "checkpoint/io.hh"
 #include "common/logging.hh"
+#include "common/units.hh"
 #include "fault/health.hh"
 
 namespace memories::service
@@ -39,14 +40,16 @@ parseField(const std::string &line, const std::string &key)
         fatal("session manifest: expected '", key, " ...', got '", line,
               "'");
     const std::string value = line.substr(key.size() + 1);
-    if (value.empty() ||
-        value.find_first_not_of("0123456789") != std::string::npos)
+    std::uint64_t n = 0;
+    switch (parseDecimal(value, n)) {
+      case DecimalParse::Ok:
+        return n;
+      case DecimalParse::Malformed:
         fatal("session manifest: bad ", key, " '", value, "'");
-    try {
-        return std::stoull(value);
-    } catch (const std::exception &) {
-        fatal("session manifest: ", key, " '", value, "' out of range");
+      case DecimalParse::OutOfRange:
+        break;
     }
+    fatal("session manifest: ", key, " '", value, "' out of range");
 }
 
 } // namespace
@@ -162,7 +165,7 @@ Session::handleSession(const std::vector<std::string> &tokens)
                    : (console_->initialized() ? "serving" : "fresh"))
            << "\n"
            << "refs " << ingest_.refsAccepted() << " twins "
-           << ingest_.fleet().numExperiments();
+           << ingest_.twins().size();
         if (console_->initialized())
             os << "\nhealth "
                << fault::healthStateName(
@@ -214,10 +217,10 @@ Session::suspend()
     ckpt::ensureDir(options_.stateDir);
     const std::string base = options_.stateDir + "/" + name_;
     console_->board()->saveState(base + ".ckpt");
-    ies::ExperimentFleet &fleet = ingest_.fleet();
-    for (std::size_t i = 0; i < fleet.numExperiments(); ++i)
-        fleet.board(i).saveState(base + ".twin" + std::to_string(i) +
-                                 ".ckpt");
+    const auto &twins = ingest_.twins();
+    for (std::size_t i = 0; i < twins.size(); ++i)
+        twins[i].board->saveState(base + ".twin" + std::to_string(i) +
+                                  ".ckpt");
 
     const StreamIngest::State s = ingest_.state();
     std::ostringstream os;
@@ -232,10 +235,9 @@ Session::suspend()
        << "overflow " << s.overflowDrops << "\n"
        << "feed-lines " << s.feedLines << "\n"
        << "resyncs " << s.resyncs << "\n"
-       << "twins " << fleet.numExperiments() << "\n";
-    for (std::size_t i = 0; i < fleet.numExperiments(); ++i)
-        os << "twin " << ingest_.fleetSeed(i) << " " << fleet.label(i)
-           << "\n";
+       << "twins " << twins.size() << "\n";
+    for (const StreamIngest::Twin &twin : twins)
+        os << "twin " << twin.seed << " " << twin.label << "\n";
     os << "config-lines " << configScript_.size() << "\n";
     for (const std::string &line : configScript_)
         os << line << "\n";
@@ -300,13 +302,14 @@ Session::resume(const std::string &name)
         if (tokens.size() != 3 || tokens[0] != "twin")
             fatal("session manifest ", path, ": bad twin line '", line,
                   "'");
-        if (tokens[1].find_first_not_of("0123456789") != std::string::npos)
+        std::uint64_t seed = 0;
+        switch (parseDecimal(tokens[1], seed)) {
+          case DecimalParse::Ok:
+            break;
+          case DecimalParse::Malformed:
             fatal("session manifest ", path, ": bad twin seed '",
                   tokens[1], "'");
-        std::uint64_t seed = 0;
-        try {
-            seed = std::stoull(tokens[1]);
-        } catch (const std::exception &) {
+          case DecimalParse::OutOfRange:
             fatal("session manifest ", path, ": twin seed '", tokens[1],
                   "' out of range");
         }
@@ -334,13 +337,11 @@ Session::resume(const std::string &name)
         fatal("resume: init failed: ", initReply);
     const std::string base = options_.stateDir + "/" + name;
     console_->board()->loadState(base + ".ckpt");
-    for (std::size_t i = 0; i < twinEntries.size(); ++i) {
-        const std::size_t index =
-            ingest_.addTwin(console_->board()->config(),
-                            twinEntries[i].seed, twinEntries[i].label);
-        ingest_.fleet().board(index).loadState(
-            base + ".twin" + std::to_string(i) + ".ckpt");
-    }
+    for (std::size_t i = 0; i < twinEntries.size(); ++i)
+        ingest_
+            .addTwin(console_->board()->config(), twinEntries[i].seed,
+                     twinEntries[i].label)
+            .loadState(base + ".twin" + std::to_string(i) + ".ckpt");
     ingest_.restore(s);
     setName(name);
     return "resumed '" + name + "' at cycle " +

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/units.hh"
 #include "service/wire.hh"
 #include "trace/record.hh"
 #include "trace/tracefile.hh"
@@ -17,14 +18,16 @@ namespace
 std::uint64_t
 parseCount(const std::string &token, const char *what)
 {
-    if (token.empty() ||
-        token.find_first_not_of("0123456789") != std::string::npos)
+    std::uint64_t value = 0;
+    switch (parseDecimal(token, value)) {
+      case DecimalParse::Ok:
+        return value;
+      case DecimalParse::Malformed:
         fatal("bad ", what, " '", token, "'");
-    try {
-        return std::stoull(token);
-    } catch (const std::exception &) {
-        fatal(what, " '", token, "' is out of range");
+      case DecimalParse::OutOfRange:
+        break;
     }
+    fatal(what, " '", token, "' is out of range");
 }
 
 ies::MemoriesBoard &
@@ -37,13 +40,29 @@ requireBoard(ies::Console &console, const char *family)
 
 } // namespace
 
-std::size_t
+ies::MemoriesBoard &
 StreamIngest::addTwin(const ies::BoardConfig &config, std::uint64_t seed,
                       const std::string &label)
 {
-    const std::size_t index = fleet_.addExperiment(config, seed, label);
-    fleetSeeds_.push_back(seed);
-    return index;
+    twins_.push_back({ies::MemoriesBoard::make(config, seed), label, seed});
+    return *twins_.back().board;
+}
+
+std::string
+StreamIngest::resyncFromTwin(ies::MemoriesBoard &board)
+{
+    const std::uint64_t want = board.config().fingerprint();
+    for (std::size_t i = 0; i < twins_.size(); ++i) {
+        const ies::MemoriesBoard &twin = *twins_[i].board;
+        if (twin.healthState() == fault::HealthState::Healthy &&
+            twin.config().fingerprint() == want) {
+            board.resyncFrom(twin);
+            ++resyncs_;
+            return "resynced from twin " + std::to_string(i) + " '" +
+                   twins_[i].label + "'";
+        }
+    }
+    return "";
 }
 
 StreamIngest::State
@@ -85,8 +104,8 @@ StreamIngest::feedAttempted(ies::Console &console,
     const std::size_t accepted = board.feedBatch(txns);
     // Twin boards see the identical attempted sequence (the session's
     // fan-out); their own buffers decide what they keep.
-    for (std::size_t i = 0; i < fleet_.numExperiments(); ++i)
-        fleet_.board(i).feedBatch(txns);
+    for (const Twin &twin : twins_)
+        twin.board->feedBatch(txns);
 
     refsAttempted_ += txns.size();
     refsAccepted_ += accepted;
@@ -96,21 +115,13 @@ StreamIngest::feedAttempted(ies::Console &console,
     // Health ladder: a quarantined board is pulled back from the first
     // healthy same-fingerprint twin; with no twin the session is done.
     if (board.healthState() == fault::HealthState::Quarantined) {
-        const std::uint64_t want = board.config().fingerprint();
-        for (std::size_t i = 0; i < fleet_.numExperiments(); ++i) {
-            ies::MemoriesBoard &twin = fleet_.board(i);
-            if (twin.healthState() == fault::HealthState::Healthy &&
-                twin.config().fingerprint() == want) {
-                board.resyncFrom(twin);
-                ++resyncs_;
-                notes += "\nresynced from twin " + std::to_string(i) +
-                         " '" + fleet_.label(i) + "'";
-                return accepted;
-            }
+        const std::string resynced = resyncFromTwin(board);
+        if (resynced.empty()) {
+            evictRequested_ = true;
+            fatal("quarantined: no healthy twin to resync from; "
+                  "session must be evicted");
         }
-        evictRequested_ = true;
-        fatal("quarantined: no healthy twin to resync from; "
-              "session must be evicted");
+        notes += "\n" + resynced;
     }
     return accepted;
 }
@@ -174,8 +185,8 @@ StreamIngest::handleDrain(ies::Console &console)
 {
     ies::MemoriesBoard &board = requireBoard(console, "drain");
     board.drainAll();
-    for (std::size_t i = 0; i < fleet_.numExperiments(); ++i)
-        fleet_.board(i).drainAll();
+    for (const Twin &twin : twins_)
+        twin.board->drainAll();
     return "drained buffer " + std::to_string(board.bufferSize()) +
            " retired " + std::to_string(board.bufferRetired());
 }
@@ -256,15 +267,15 @@ StreamIngest::handleFleet(ies::Console &console,
 {
     if (tokens.size() == 1 || tokens[1] == "list" ||
         tokens[1] == "status") {
-        if (fleet_.numExperiments() == 0)
+        if (twins_.empty())
             return "fleet empty";
         std::ostringstream os;
-        for (std::size_t i = 0; i < fleet_.numExperiments(); ++i) {
+        for (std::size_t i = 0; i < twins_.size(); ++i) {
             if (i)
                 os << "\n";
-            os << i << " '" << fleet_.label(i) << "' seed "
-               << fleetSeeds_[i] << " health "
-               << fault::healthStateName(fleet_.board(i).healthState());
+            os << i << " '" << twins_[i].label << "' seed "
+               << twins_[i].seed << " health "
+               << fault::healthStateName(twins_[i].board->healthState());
         }
         return os.str();
     }
@@ -273,13 +284,12 @@ StreamIngest::handleFleet(ies::Console &console,
         ies::MemoriesBoard &board = requireBoard(console, "fleet add");
         if (tokens.size() > 4)
             fatal("usage: fleet add [label] [seed]");
+        const std::size_t index = twins_.size();
         const std::string label =
-            tokens.size() >= 3 ? tokens[2]
-                               : "twin" +
-                                     std::to_string(fleet_.numExperiments());
+            tokens.size() >= 3 ? tokens[2] : "twin" + std::to_string(index);
         const std::uint64_t seed =
             tokens.size() == 4 ? parseCount(tokens[3], "seed") : 1;
-        const std::size_t index = addTwin(board.config(), seed, label);
+        addTwin(board.config(), seed, label);
         return "fleet board " + std::to_string(index) + " '" + label +
                "' added";
     }
@@ -288,25 +298,17 @@ StreamIngest::handleFleet(ies::Console &console,
             fatal("usage: fleet ", sub, " <index>");
         const std::size_t i =
             static_cast<std::size_t>(parseCount(tokens[2], "fleet index"));
-        if (i >= fleet_.numExperiments())
-            fatal("fleet index ", i, " out of range (",
-                  fleet_.numExperiments(), " boards)");
-        return fleet_.board(i).dumpStats();
+        if (i >= twins_.size())
+            fatal("fleet index ", i, " out of range (", twins_.size(),
+                  " boards)");
+        return twins_[i].board->dumpStats();
     }
     if (sub == "resync") {
-        ies::MemoriesBoard &board = requireBoard(console, "fleet resync");
-        const std::uint64_t want = board.config().fingerprint();
-        for (std::size_t i = 0; i < fleet_.numExperiments(); ++i) {
-            ies::MemoriesBoard &twin = fleet_.board(i);
-            if (twin.healthState() == fault::HealthState::Healthy &&
-                twin.config().fingerprint() == want) {
-                board.resyncFrom(twin);
-                ++resyncs_;
-                return "resynced from twin " + std::to_string(i) + " '" +
-                       fleet_.label(i) + "'";
-            }
-        }
-        fatal("no healthy same-fingerprint twin to resync from");
+        const std::string resynced =
+            resyncFromTwin(requireBoard(console, "fleet resync"));
+        if (resynced.empty())
+            fatal("no healthy same-fingerprint twin to resync from");
+        return resynced;
     }
     fatal("usage: fleet [add [label] [seed]|list|counters <i>|resync]");
 }

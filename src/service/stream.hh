@@ -46,11 +46,12 @@
 #define MEMORIES_SERVICE_STREAM_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "ies/board.hh"
 #include "ies/console.hh"
-#include "ies/fanout.hh"
 
 namespace memories::service
 {
@@ -87,17 +88,25 @@ class StreamIngest
      *  from — the session layer must evict this session. */
     bool evictRequested() const { return evictRequested_; }
 
-    /** The session's twin-board fleet (suspend/resume walks it). */
-    ies::ExperimentFleet &fleet() { return fleet_; }
-    const ies::ExperimentFleet &fleet() const { return fleet_; }
-    std::uint64_t fleetSeed(std::size_t i) const { return fleetSeeds_[i]; }
+    /** One same-config twin board, fed in lock-step with the main
+     *  board on the feeding thread. */
+    struct Twin
+    {
+        std::unique_ptr<ies::MemoriesBoard> board;
+        std::string label;
+        std::uint64_t seed = 1;
+    };
+
+    /** The session's twin boards (suspend/resume walks them). */
+    const std::vector<Twin> &twins() const { return twins_; }
 
     /**
      * Add a twin board cloned from @p config. Exposed (beside the
      * `fleet add` command) so session resume can rebuild twins.
      */
-    std::size_t addTwin(const ies::BoardConfig &config, std::uint64_t seed,
-                        const std::string &label);
+    ies::MemoriesBoard &addTwin(const ies::BoardConfig &config,
+                                std::uint64_t seed,
+                                const std::string &label);
 
     /** Suspend/resume: the scalar stream state (docs/SERVICE.md). */
     struct State
@@ -139,6 +148,11 @@ class StreamIngest
                               const std::vector<bus::BusTransaction> &txns,
                               std::string &notes);
 
+    /** Resync @p board from the first healthy same-fingerprint twin.
+     *  @return "resynced from twin <i> '<label>'", or "" when no twin
+     *  qualifies. */
+    std::string resyncFromTwin(ies::MemoriesBoard &board);
+
     std::size_t maxBatch_;
     bool paced_ = true;
     Cycle prevCycle_ = 0;
@@ -151,8 +165,7 @@ class StreamIngest
     std::uint64_t resyncs_ = 0;
     bool evictRequested_ = false;
 
-    ies::ExperimentFleet fleet_;
-    std::vector<std::uint64_t> fleetSeeds_;
+    std::vector<Twin> twins_;
 
     /** handleFeed's decoded records and admitted transactions, kept
      *  from line to line so a feed allocates nothing once warm. */

@@ -7,6 +7,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/units.hh"
+
 namespace memories::service
 {
 
@@ -179,20 +181,13 @@ LineChannel::readReply()
     } else {
         return std::nullopt;
     }
-    const std::string count = head.substr(off);
-    if (count.empty() ||
-        count.find_first_not_of("0123456789") != std::string::npos)
-        return std::nullopt;
-    unsigned long long n;
-    try {
-        n = std::stoull(count);
-    } catch (const std::exception &) {
-        return std::nullopt; // out-of-range count is garbage framing
-    }
-    if (n > maxLineBytes)
+    // An out-of-range count is garbage framing, like any other.
+    std::uint64_t n = 0;
+    if (parseDecimal(head.substr(off), n) != DecimalParse::Ok ||
+        n > maxLineBytes)
         return std::nullopt;
     reply.lines.reserve(n);
-    for (unsigned long long i = 0; i < n; ++i) {
+    for (std::uint64_t i = 0; i < n; ++i) {
         std::string line;
         if (!readLine(line))
             return std::nullopt;

@@ -75,6 +75,15 @@ TEST_F(CampaignConsoleTest, MalformedInvocationsReturnErrorText)
     }
 }
 
+TEST_F(CampaignConsoleTest, OutOfRangeCountsAreUserErrors)
+{
+    // A count past 2^64 - 1 is the user's error, reported as such.
+    const std::string reply = console_.execute(
+        "campaign start " + dir_ + " 99999999999999999999999 10");
+    EXPECT_EQ(reply, "error: bad seed count '99999999999999999999999'");
+    EXPECT_FALSE(std::filesystem::exists(dir_));
+}
+
 TEST_F(CampaignConsoleTest, StatusAndResumeOnMissingCampaignFailClosed)
 {
     const std::string status =

@@ -8,13 +8,18 @@
  *
  * Each trial forks a child that starts (or resumes) the campaign and
  * _exits 0 on completion; the parent SIGKILLs it after a seeded
- * random delay and goes again until a child survives. Seeds default
+ * random delay and goes again until a child survives. The delay window
+ * is proportional to the golden run's wall time in this process, so
+ * kills land anywhere in a run however fast the build is (a sanitizer
+ * build runs the same work many times slower). Seeds default
  * to a quick smoke count locally; CI raises MEMORIES_CAMP_SEEDS to
  * fuzz at least 20 schedules (see .github/workflows/ci.yml).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
@@ -102,12 +107,23 @@ spawnCampaignChild(const std::string &dir)
 
 TEST(CampaignKillFuzzTest, KillAndResumeIsByteIdentical)
 {
-    // Golden uninterrupted run, same process.
+    // Golden uninterrupted run, same process, timed: it sets the
+    // kill-delay window.
     const std::string goldenDir = freshDir("golden");
+    const test::TempPathGuard goldenGuard(goldenDir);
+    const auto goldenStart = std::chrono::steady_clock::now();
     {
         CampaignRunner runner(testConfigs(), goldenDir);
         ASSERT_TRUE(runner.start(testPlan()).allDone());
     }
+    const auto goldenUs =
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - goldenStart)
+            .count();
+    // Delays span one golden run, so kills land anywhere in it; each
+    // resumed child has less left to do and soon outlives its delay.
+    const std::uint64_t window =
+        std::max<std::uint64_t>(static_cast<std::uint64_t>(goldenUs), 1);
     const auto golden = resultArtifacts(goldenDir);
     const Manifest goldenManifest = Manifest::open(goldenDir);
 
@@ -117,6 +133,7 @@ TEST(CampaignKillFuzzTest, KillAndResumeIsByteIdentical)
 
     for (unsigned seed = 1; seed <= seeds; ++seed) {
         const std::string dir = freshDir("s" + std::to_string(seed));
+        const test::TempPathGuard guard(dir);
         Rng rng(seed * 977 + 11);
         unsigned kills = 0;
         for (int attempt = 0;; ++attempt) {
@@ -124,9 +141,7 @@ TEST(CampaignKillFuzzTest, KillAndResumeIsByteIdentical)
                 << "campaign never completed under kill fuzzing";
             const pid_t pid = spawnCampaignChild(dir);
             ASSERT_GT(pid, 0);
-            // Sleep 0-60ms: long enough to reach any phase of the
-            // run, short enough that kills land mid-flight often.
-            ::usleep(static_cast<useconds_t>(rng.nextBounded(60000)));
+            ::usleep(static_cast<useconds_t>(rng.nextBounded(window)));
             ::kill(pid, SIGKILL);
             int status = 0;
             ASSERT_EQ(::waitpid(pid, &status, 0), pid);
@@ -150,9 +165,7 @@ TEST(CampaignKillFuzzTest, KillAndResumeIsByteIdentical)
                 << "seed " << seed << " changed retirement order of "
                 << "unit " << i;
         }
-        std::filesystem::remove_all(dir);
     }
-    std::filesystem::remove_all(goldenDir);
 }
 
 } // namespace

@@ -226,6 +226,17 @@ TEST(CampaignResumeTest, DoubleCrashChainsResumeByteIdentical)
     }
 }
 
+TEST(CampaignResumeTest, FaultSpecRejectsOutOfRangeNumbers)
+{
+    // Every malformed spec is a FatalError, out-of-range numbers too.
+    EXPECT_THROW(parseFaultSpec("crash@99999999999999999999999"),
+                 FatalError);
+    EXPECT_THROW(parseFaultSpec("shortwrite@2:99999999999999999999999"),
+                 FatalError);
+    EXPECT_THROW(parseFaultSpec("crash@+3"), FatalError);
+    EXPECT_EQ(parseFaultSpec("crash@18446744073709551615").size(), 1u);
+}
+
 TEST(CampaignResumeTest, TransientDiskFaultsAreRetriedByteIdentical)
 {
     const auto golden = resultArtifacts(goldenDir());

@@ -31,6 +31,52 @@ TEST(UnitsTest, RejectsGarbage)
     EXPECT_THROW(parseByteSize("12XB"), FatalError);
 }
 
+TEST(UnitsTest, ParseDecimalAcceptsOnlyUnsignedDigits)
+{
+    struct Case
+    {
+        const char *text;
+        DecimalParse want;
+        std::uint64_t value;
+    };
+    const Case cases[] = {
+        {"0", DecimalParse::Ok, 0},
+        {"7", DecimalParse::Ok, 7},
+        {"0042", DecimalParse::Ok, 42},
+        {"18446744073709551615", DecimalParse::Ok, ~std::uint64_t{0}},
+        {"18446744073709551616", DecimalParse::OutOfRange, 0},
+        {"99999999999999999999999", DecimalParse::OutOfRange, 0},
+        {"", DecimalParse::Malformed, 0},
+        {"-1", DecimalParse::Malformed, 0},
+        {"+64", DecimalParse::Malformed, 0},
+        {" 5", DecimalParse::Malformed, 0},
+        {"5 ", DecimalParse::Malformed, 0},
+        {"0x10", DecimalParse::Malformed, 0},
+        {"12a", DecimalParse::Malformed, 0},
+        {"1.5", DecimalParse::Malformed, 0},
+        {"1e3", DecimalParse::Malformed, 0},
+    };
+    for (const Case &c : cases) {
+        std::uint64_t value = 12345;
+        EXPECT_EQ(parseDecimal(c.text, value), c.want) << c.text;
+        // The output is written only on success.
+        EXPECT_EQ(value, c.want == DecimalParse::Ok ? c.value : 12345u)
+            << c.text;
+    }
+}
+
+TEST(UnitsTest, RejectsSizesThatOverflow)
+{
+    // Neither the digits nor the scaled size may wrap: 2^64 + 128
+    // is not 128 bytes, and 2^34 GB is not 0.
+    EXPECT_THROW(parseByteSize("18446744073709551744"), FatalError);
+    EXPECT_THROW(parseByteSize("17179869184GB"), FatalError);
+    EXPECT_THROW(parseByteSize("18014398509481984KB"), FatalError);
+    EXPECT_EQ(parseByteSize("18446744073709551615"),
+              ~std::uint64_t{0});
+    EXPECT_EQ(parseByteSize("17179869183GB"), 17179869183ull * GiB);
+}
+
 TEST(UnitsTest, FormatPicksLargestExactUnit)
 {
     EXPECT_EQ(formatByteSize(8 * GiB), "8GB");

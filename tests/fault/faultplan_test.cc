@@ -116,6 +116,18 @@ TEST(FaultPlanTest, RejectsMalformedPlans)
     EXPECT_THROW(FaultPlan::parse("retry at 1x\n"), FatalError);
 }
 
+TEST(FaultPlanTest, RejectsSignedAndOutOfRangeIntegers)
+{
+    // A sign is not a digit: "-1" must not wrap to 2^64 - 1.
+    EXPECT_THROW(FaultPlan::parse("tagflip at -1 node 0 bit 3\n"),
+                 FatalError);
+    EXPECT_THROW(FaultPlan::parse("tagflip at 1 node 0 bit +3\n"),
+                 FatalError);
+    EXPECT_THROW(FaultPlan::parse("stall at 99999999999999999999999 "
+                                  "cycles 10\n"),
+                 FatalError);
+}
+
 TEST(FaultPlanTest, EmptyTextIsAnEmptyPlan)
 {
     EXPECT_TRUE(FaultPlan::parse("").empty());

@@ -83,6 +83,21 @@ TEST(ConsoleTest, ErrorsComeBackAsText)
               std::string::npos); // below Table 2 range
 }
 
+TEST(ConsoleTest, NumbersAreUnsignedDecimalDigitsOnly)
+{
+    // Digits only: no sign, no base prefix, nothing past 2^64 - 1,
+    // and no byte size that overflows once scaled.
+    bus::Bus6xx bus;
+    Console console(bus);
+    for (const char *cmd :
+         {"buffer +64", "buffer 0x40", "buffer 99999999999999999999999",
+          "node 0 cache 17179869184GB 4 128B",
+          "node 0 cache 18446744073709551744 4 128B"})
+        EXPECT_EQ(console.execute(cmd).rfind("error:", 0), 0u) << cmd;
+    EXPECT_EQ(console.execute("buffer 64").find("error:"),
+              std::string::npos);
+}
+
 TEST(ConsoleTest, ConfigAfterInitIsRejected)
 {
     bus::Bus6xx bus;

@@ -133,7 +133,7 @@ equivConfigs()
                               4)});
     {
         // Tiny, slow buffer: pacing, overflow, and drop paths fire —
-        // the CreditPacing hook must not change what gets dropped.
+        // the profiler hooks must not change what gets dropped.
         ies::BoardConfig tiny =
             makeUniformBoard(2, 4, cacheCfg(2 * MiB, 4));
         tiny.bufferEntries = 32;
@@ -207,7 +207,7 @@ TEST(ProfEquivTest, ProfiledShardedRunActuallyMeasuredSomething)
 {
     // Guard against the equivalence passing vacuously because the
     // hooks never fired: the instrumented queued-batch leg must have
-    // attributed real time to admission, pacing and emulation.
+    // attributed real time to admission and emulation.
     const auto cfgs = equivConfigs();
     const auto txns = stream(211, 3000);
     Profiler prof;
@@ -215,7 +215,7 @@ TEST(ProfEquivTest, ProfiledShardedRunActuallyMeasuredSomething)
     const ProfReport report = prof.snapshot();
     EXPECT_GT(report.batches, 0u);
     EXPECT_GT(report.stage(Stage::FeedBatch).estNs(), 0u);
-    EXPECT_GT(report.stage(Stage::CreditPacing).calls, 0u);
+    EXPECT_GT(report.stage(Stage::BatchAdmission).calls, 0u);
     EXPECT_GT(report.stage(Stage::Emulation).calls, 0u);
     EXPECT_GT(report.stage(Stage::Emulation).estNs(), 0u);
 }

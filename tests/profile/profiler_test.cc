@@ -1,10 +1,11 @@
 /**
  * @file
- * IESPROF unit tier: stage accounting, the sampled-stage estimator's
- * scale factor, and the export surfaces (folded stacks, merged chrome
- * trace, profile JSON, telemetry series). The non-perturbation claim — attached vs
- * detached byte-equivalence — lives in prof_equiv_test.cc; this file
- * pins the arithmetic and the formats.
+ * IESPROF unit tier: stage accounting, the child-never-exceeds-parent
+ * rule over a real board run, and the export surfaces (folded stacks,
+ * merged chrome trace, profile JSON, telemetry series). The
+ * non-perturbation claim — attached vs detached byte-equivalence —
+ * lives in prof_equiv_test.cc; this file pins the arithmetic and the
+ * formats.
  */
 
 #include "profile/profiler.hh"
@@ -56,27 +57,9 @@ TEST(ProfilerTest, RecordStageAccumulatesCallsAndTime)
     prof.recordStage(Stage::Emulation, t0);
     const ProfReport report = prof.snapshot();
     EXPECT_EQ(report.stage(Stage::Emulation).calls, 2u);
-    EXPECT_EQ(report.stage(Stage::Emulation).timed, 2u);
-    // Fully-timed stages estimate exactly what they measured.
+    // Every bout is timed: the estimate is exactly what was measured.
     EXPECT_EQ(report.stage(Stage::Emulation).estNs(),
               report.stage(Stage::Emulation).ns);
-}
-
-TEST(ProfilerTest, SampledStageScalesEstimateByStride)
-{
-    Profiler prof;
-    // 4 full strides: exactly 4 bouts get a clock pair, and the
-    // estimator must scale the measured time back up by calls/timed.
-    const std::uint64_t bouts = 4 * (Profiler::sampleMask + 1);
-    for (std::uint64_t i = 0; i < bouts; ++i) {
-        const std::uint64_t t0 = prof.sampledBegin(Stage::CreditPacing);
-        prof.sampledEnd(Stage::CreditPacing, t0);
-    }
-    const ProfReport report = prof.snapshot();
-    const StageStats &s = report.stage(Stage::CreditPacing);
-    EXPECT_EQ(s.timed, 4u);
-    EXPECT_EQ(s.calls, bouts);
-    EXPECT_EQ(s.estNs(), s.ns * (Profiler::sampleMask + 1));
 }
 
 TEST(ProfilerTest, ScopedStageIsANoOpOnNullProfiler)
@@ -165,6 +148,32 @@ TEST(ProfilerTest, BoardRunAttributesTimeToEveryHotStage)
     EXPECT_LT(children, total * 11 / 10);
 }
 
+TEST(ProfilerTest, BoardRunNoStageExceedsItsParent)
+{
+    // Each child's clock pair nests inside its parent's, so a child
+    // can never report more time than its parent, and the children
+    // together never more than the root. The bench gate checks the
+    // same rule on the profile JSON.
+    ies::MemoriesBoard board(smallBoard());
+    Profiler prof;
+    profiledRun(board, prof, 20000);
+    const ProfReport report = prof.snapshot();
+    std::uint64_t children = 0;
+    for (const Stage s : recordedStages) {
+        if (s == Stage::FeedBatch)
+            continue;
+        const Stage parent = stageParent(s);
+        EXPECT_GT(report.stage(s).calls, 0u) << stageName(s);
+        EXPECT_LE(report.stage(s).ns, report.stage(parent).ns)
+            << stageName(s) << " exceeds " << stageName(parent);
+        children += report.stage(s).ns;
+    }
+    EXPECT_LE(children, report.stage(Stage::FeedBatch).ns);
+    // The stub stage is recorded nowhere.
+    EXPECT_EQ(report.stage(Stage::CreditPacing).calls, 0u);
+    EXPECT_EQ(report.stage(Stage::CreditPacing).ns, 0u);
+}
+
 TEST(ProfilerTest, DescribeNamesStagesAndShards)
 {
     ies::MemoriesBoard board(smallBoard());
@@ -173,8 +182,9 @@ TEST(ProfilerTest, DescribeNamesStagesAndShards)
     const std::string text = prof.describe();
     EXPECT_NE(text.find("feed_batch"), std::string::npos);
     EXPECT_NE(text.find("batch_admission"), std::string::npos);
-    EXPECT_NE(text.find("credit_pacing"), std::string::npos);
     EXPECT_NE(text.find("emulation"), std::string::npos);
+    EXPECT_EQ(text.find("credit_pacing"), std::string::npos);
+    EXPECT_EQ(text.find("sampled"), std::string::npos);
     // Stages only: no shard table.
     EXPECT_EQ(text.find("shard"), std::string::npos);
     EXPECT_EQ(text.find("imbalance"), std::string::npos);
@@ -201,11 +211,11 @@ TEST(ProfilerTest, FoldedStacksCarryRootedSemicolonPaths)
             << line;
         at = nl + 1;
     }
-    // Emulation is a direct child of the root; pacing nests under
-    // admission.
+    // Admission and emulation are direct children of the root.
     EXPECT_NE(folded.find("feed_batch;emulation "), std::string::npos);
-    EXPECT_NE(folded.find("feed_batch;batch_admission;credit_pacing "),
+    EXPECT_NE(folded.find("feed_batch;batch_admission "),
               std::string::npos);
+    EXPECT_EQ(folded.find("credit_pacing"), std::string::npos);
     EXPECT_EQ(folded.find("shard"), std::string::npos);
 }
 
@@ -238,6 +248,8 @@ TEST(ProfilerTest, MergedTraceExtendsThePlainExportByteForByte)
     EXPECT_NE(merged.find("\"pid\":99"), std::string::npos);
     EXPECT_NE(merged.find("IESPROF (emulator)"), std::string::npos);
     EXPECT_NE(merged.find("\"feed_batch\""), std::string::npos);
+    EXPECT_EQ(merged.find("credit_pacing"), std::string::npos);
+    EXPECT_EQ(merged.find("\"sampled\""), std::string::npos);
     // And the plain export never mentions any of it.
     EXPECT_EQ(plain.find("IESPROF"), std::string::npos);
 }
@@ -268,6 +280,7 @@ TEST(ProfilerTest, ProfileJsonCarriesStagesShardsAndImbalance)
               std::string::npos);
     EXPECT_NE(json.find("\"ns_per_ref\""), std::string::npos);
     EXPECT_NE(json.find("\"stage\":\"emulation\""), std::string::npos);
+    EXPECT_EQ(json.find("credit_pacing"), std::string::npos);
     // Stages only: no per-shard table or skew.
     EXPECT_EQ(json.find("\"shards\""), std::string::npos);
     EXPECT_EQ(json.find("\"imbalance\""), std::string::npos);
@@ -315,8 +328,8 @@ TEST(ProfilerTest, AttachTelemetryExportsStageAndShardSeries)
     };
     EXPECT_TRUE(has("prof.stage.feed_batch.ns"));
     EXPECT_TRUE(has("prof.stage.batch_admission.calls"));
-    EXPECT_TRUE(has("prof.stage.credit_pacing.ns"));
     EXPECT_TRUE(has("prof.stage.emulation.ns"));
+    EXPECT_FALSE(has("prof.stage.credit_pacing.ns"));
     // Stages only: no per-shard series.
     for (const auto &n : names)
         EXPECT_EQ(n.find("prof.shard"), std::string::npos) << n;
