@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -163,8 +164,22 @@ main(int argc, char **argv)
         "MemorIES boards emulate in real time while the host runs; "
         "the service front-end must hold that rate per tenant");
 
-    // An external daemon (--socket) or our own on a unique path.
-    std::unique_ptr<service::Daemon> daemon;
+    // An external daemon (--socket) or our own on a unique path,
+    // whose socket and state directory go when main returns.
+    struct OwnDaemon
+    {
+        std::unique_ptr<service::Daemon> daemon;
+        std::string stateDir;
+        ~OwnDaemon()
+        {
+            if (!daemon)
+                return;
+            daemon->stop(); // unlinks the socket
+            std::error_code ec;
+            std::filesystem::remove_all(stateDir, ec);
+        }
+    } own;
+    std::unique_ptr<service::Daemon> &daemon = own.daemon;
     std::string socket = args.socketPath;
     if (socket.empty()) {
         service::DaemonOptions options;
@@ -173,6 +188,7 @@ main(int argc, char **argv)
         options.socketPath = stem + ".sock";
         options.stateDir = stem + "-state";
         options.maxSessions = args.clients + 1;
+        own.stateDir = options.stateDir;
         daemon = std::make_unique<service::Daemon>(options);
         daemon->start();
         socket = options.socketPath;

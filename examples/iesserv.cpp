@@ -18,17 +18,28 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
 
+#include "common/units.hh"
 #include "service/daemon.hh"
 
 namespace
 {
 
 std::atomic<bool> stopRequested{false};
+
+void
+usage()
+{
+    std::fprintf(stderr,
+                 "usage: iesserv [--socket <path>] [--state-dir <dir>] "
+                 "[--max-sessions <n>] [--max-batch <n>] "
+                 "[--window <requests>] [--jsonl <path>]\n");
+}
 
 void
 onSignal(int)
@@ -56,24 +67,31 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto number = [&]() -> std::uint64_t {
+            const std::string text = value();
+            std::uint64_t n = 0;
+            if (parseDecimal(text, n) != DecimalParse::Ok) {
+                std::fprintf(stderr, "%s: bad number '%s'\n", arg.c_str(),
+                             text.c_str());
+                usage();
+                std::exit(2);
+            }
+            return n;
+        };
         if (arg == "--socket")
             options.socketPath = value();
         else if (arg == "--state-dir")
             options.stateDir = value();
         else if (arg == "--max-sessions")
-            options.maxSessions = std::stoull(value());
+            options.maxSessions = number();
         else if (arg == "--max-batch")
-            options.maxBatch = std::stoull(value());
+            options.maxBatch = number();
         else if (arg == "--window")
-            options.windowRequests = std::stoull(value());
+            options.windowRequests = number();
         else if (arg == "--jsonl")
             options.jsonlPath = value();
         else {
-            std::fprintf(
-                stderr,
-                "usage: iesserv [--socket <path>] [--state-dir <dir>] "
-                "[--max-sessions <n>] [--max-batch <n>] "
-                "[--window <requests>] [--jsonl <path>]\n");
+            usage();
             return 2;
         }
     }

@@ -26,6 +26,25 @@ parseDecimal(std::string_view text, std::uint64_t &value)
     return DecimalParse::Ok;
 }
 
+DecimalParse
+parseHexOrDecimal(std::string_view text, std::uint64_t &value)
+{
+    if (text.size() < 2 || text[0] != '0' || (text[1] != 'x' && text[1] != 'X'))
+        return parseDecimal(text, value);
+    const std::string_view digits = text.substr(2);
+    if (digits.empty() ||
+        digits.find_first_not_of("0123456789abcdefABCDEF") !=
+            std::string_view::npos)
+        return DecimalParse::Malformed;
+    std::uint64_t parsed = 0;
+    if (std::from_chars(digits.data(), digits.data() + digits.size(), parsed,
+                        16)
+            .ec != std::errc())
+        return DecimalParse::OutOfRange;
+    value = parsed;
+    return DecimalParse::Ok;
+}
+
 std::uint64_t
 parseByteSize(std::string_view text)
 {

@@ -35,6 +35,13 @@ enum class DecimalParse
 DecimalParse parseDecimal(std::string_view text, std::uint64_t &value);
 
 /**
+ * parseDecimal(), or, after a "0x"/"0X" prefix, one or more hex digits
+ * (either case): no sign, no whitespace, no overflow, and no octal (a
+ * leading 0 is still decimal). @p value is written only on Ok.
+ */
+DecimalParse parseHexOrDecimal(std::string_view text, std::uint64_t &value);
+
+/**
  * Parse a byte-size string such as "128B", "2KB", "64MB", "8GB".
  * A bare number is taken as bytes. Throws FatalError on malformed
  * input and on sizes that do not fit in 64 bits.

@@ -186,6 +186,9 @@ MemoriesBoard::resyncFrom(const MemoriesBoard &healthy)
         staged.push_back(nodes_[i]->decodeDirectoryState(source));
         source.expectEnd();
     }
+    // Retirements already due reach the old directories first, as they
+    // would have had they been emulated inline.
+    emulateQueued();
     // Buffered tenures predate the mirrored directories; retiring them
     // now would corrupt the copy, so they are lost in flight (keeping
     // committed == retired + lost_inflight).
@@ -201,7 +204,8 @@ MemoriesBoard::drainDue(Cycle now)
 {
     if (!batching_ || recorder_) {
         // Inline: the recorder sees Retire and node events in serial
-        // order.
+        // order, after whatever an earlier admitBatch() left queued.
+        emulateQueued();
         while (auto txn = buffer_.drain(now)) {
             if (recorder_)
                 recorder_->record(
@@ -392,6 +396,7 @@ MemoriesBoard::feedCommitted(const bus::BusTransaction &txn)
 void
 MemoriesBoard::drainAll()
 {
+    emulateQueued();
     while (auto txn = buffer_.drainUnpaced()) {
         if (recorder_)
             recorder_->record(
@@ -424,17 +429,19 @@ MemoriesBoard::emulate(const bus::BusTransaction &txn)
     }
 }
 
-void
-MemoriesBoard::emulateQueued()
+std::size_t
+MemoriesBoard::emulateQueued(std::size_t max)
 {
-    if (retireSlab_.empty())
-        return;
+    const std::size_t end = retireSlab_.size();
+    if (slabHead_ == end)
+        return 0;
     profile::ScopedStage emu_scope(prof_, profile::Stage::Emulation);
+    const std::size_t stop =
+        max < end - slabHead_ ? slabHead_ + max : end;
     // Pull the directory sets a few retirements ahead so the tag loads
     // overlap the current step's protocol work.
     constexpr std::size_t prefetch_dist = 8;
-    const std::size_t end = retireSlab_.size();
-    for (std::size_t i = 0; i < end; ++i) {
+    for (std::size_t i = slabHead_; i < stop; ++i) {
         if (i + prefetch_dist < end) {
             const Addr addr = retireSlab_[i + prefetch_dist].addr;
             for (const auto &node : nodes_)
@@ -442,7 +449,31 @@ MemoriesBoard::emulateQueued()
         }
         emulate(retireSlab_[i]);
     }
-    retireSlab_.clear();
+    slabHead_ = stop;
+    if (stop == end) {
+        retireSlab_.clear();
+        slabHead_ = 0;
+    }
+    return end - stop;
+}
+
+std::size_t
+MemoriesBoard::admitBatch(const bus::BusTransaction *txns,
+                          std::size_t count, bool *accepted)
+{
+    profile::ScopedStage admission_scope(prof_,
+                                         profile::Stage::BatchAdmission);
+    batching_ = true;
+    std::size_t ok_count = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        bus::BusTransaction t = txns[i];
+        const bool ok = admit(t, false) != Admission::Overflow;
+        if (accepted)
+            accepted[i] = ok;
+        ok_count += ok;
+    }
+    batching_ = false;
+    return ok_count;
 }
 
 std::size_t
@@ -453,22 +484,8 @@ MemoriesBoard::feedBatch(const bus::BusTransaction *txns,
         prof_ ? profile::Profiler::nowNs() : 0;
     if (prof_)
         prof_->beginBatch(count > 0 ? txns[0].cycle : 0);
-
-    batching_ = true;
-    std::size_t ok_count = 0;
-    {
-        profile::ScopedStage admission_scope(
-            prof_, profile::Stage::BatchAdmission);
-        for (std::size_t i = 0; i < count; ++i) {
-            bus::BusTransaction t = txns[i];
-            const bool ok = admit(t, false) != Admission::Overflow;
-            if (accepted)
-                accepted[i] = ok;
-            ok_count += ok;
-        }
-    }
+    const std::size_t ok_count = admitBatch(txns, count, accepted);
     emulateQueued();
-    batching_ = false;
     if (prof_)
         prof_->endBatch(count > 0 ? txns[count - 1].cycle : 0,
                         prof_t0);
@@ -527,6 +544,8 @@ MemoriesBoard::reset()
         capture_->reset();
     buffer_.restoreState({});
     health_.restoreState({});
+    retireSlab_.clear();
+    slabHead_ = 0;
     pending_.reset();
     pendingRetried_ = false;
     healthCycle_ = 0;
@@ -593,6 +612,11 @@ MemoriesBoard::dumpStats() const
 void
 MemoriesBoard::saveState(ckpt::CheckpointWriter &writer) const
 {
+    // The container holds no retire queue: deferred retirements would
+    // be lost from it, so they must reach the directories first.
+    if (queuedRetirements() != 0)
+        fatal("cannot checkpoint a board with ", queuedRetirements(),
+              " retirements still queued for emulation");
     {
         ckpt::Sink &sink = writer.section(ckpt::secBoard);
         sink.u64(nodes_.size());
@@ -703,6 +727,8 @@ MemoriesBoard::loadState(const ckpt::CheckpointImage &image)
     pendingRetried_ = pendingRetried;
     healthCycle_ = healthCycle;
     healthTraceId_ = healthTraceId;
+    retireSlab_.clear();
+    slabHead_ = 0;
     buffer_.restoreState(bufferState);
     health_.restoreState(healthState);
     if (injector_)

@@ -15,6 +15,7 @@
 #ifndef MEMORIES_IES_BOARD_HH
 #define MEMORIES_IES_BOARD_HH
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -117,6 +118,32 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
                           bool *accepted = nullptr);
 
     /**
+     * The admission half of feedBatch(): every counter, pacing and
+     * commit effect of the batch, with the retirements it owes left
+     * queued for emulateQueued() (a recorder still sees them emulated
+     * inline). feedBatch() is admitBatch() plus emulateQueued().
+     * Emulation is deferred, never dropped: the next feedCommitted(),
+     * snoop(), drainAll() or resyncFrom() emulates the queue first,
+     * and a further admitBatch() appends to it in retirement order.
+     * Readers (counters, directories, saveState) see the deferred
+     * retirements only once the caller has emulated them.
+     */
+    std::size_t admitBatch(const bus::BusTransaction *txns,
+                           std::size_t count, bool *accepted = nullptr);
+
+    /** Retirements admitBatch() left for emulateQueued(). */
+    std::size_t queuedRetirements() const
+    {
+        return retireSlab_.size() - slabHead_;
+    }
+
+    /**
+     * Emulate up to @p max queued retirements, oldest first.
+     * @return the number still queued.
+     */
+    std::size_t emulateQueued(std::size_t max = SIZE_MAX);
+
+    /**
      * Retired API, kept only because the benchmark's per-layer probe
      * ("ies.feed_batch_shard4") still calls it; it goes with that probe
      * at the next benchmark change. Batch emulation always runs on the
@@ -151,15 +178,16 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
     std::uint64_t bufferRetired() const { return buffer_.retired(); }
 
     /**
-     * Mutation-free admission probe: how many references stamped at
-     * bus cycle @p now the transaction buffer could still absorb
-     * without posting a retry, counting entries that would retire by
-     * then. The IESSERV admission controller meters per-session feed
-     * credits with this (docs/SERVICE.md).
+     * Mutation-free admission probe: the longest prefix of @p txns the
+     * transaction buffer would take at their own cycles without
+     * posting a retry (TransactionBuffer::admissiblePrefix). The
+     * IESSERV admission controller prices paced feed lines with this
+     * (docs/SERVICE.md).
      */
-    std::size_t bufferAdmissibleAt(Cycle now) const
+    std::size_t admissiblePrefix(const bus::BusTransaction *txns,
+                                 std::size_t n) const
     {
-        return buffer_.admissibleAt(now);
+        return buffer_.admissiblePrefix(txns, n);
     }
 
     /** Trace-capture buffer, when the mode is enabled. */
@@ -356,14 +384,10 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
     /**
      * Retire everything the SDRAM side owes by bus cycle @p now.
      * Retirements are emulated inline for a single-tenure call or with
-     * a flight recorder attached; otherwise they are queued in
-     * retireSlab_.
+     * a flight recorder attached (after anything still queued);
+     * otherwise they are queued in retireSlab_.
      */
     void drainDue(Cycle now);
-
-    /** Emulate every queued retirement, in order, and empty the
-     *  queue. */
-    void emulateQueued();
 
     /**
      * Accept @p txn into the transaction buffer: count the commit,
@@ -424,9 +448,11 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
     /** Target-machine groups, precomputed for the emulation step. */
     std::vector<MachineGroup> machines_;
 
-    bool batching_ = false; //!< inside a feedBatch call
-    /** Retirements queued for emulation, in retirement order. */
+    bool batching_ = false; //!< inside an admitBatch call
+    /** Retirements queued for emulation, in retirement order; the
+     *  first slabHead_ of them are already emulated. */
     std::vector<bus::BusTransaction> retireSlab_;
+    std::size_t slabHead_ = 0;
 };
 
 /**

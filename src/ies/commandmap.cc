@@ -5,9 +5,35 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/units.hh"
 
 namespace memories::ies
 {
+
+namespace
+{
+
+/** A map file's opcode token: hex or decimal, at most 32 bits. */
+std::uint32_t
+parseOpcode(const std::string &token, int lineno)
+{
+    std::uint64_t value = 0;
+    switch (parseHexOrDecimal(token, value)) {
+      case DecimalParse::Ok:
+        if (value <= 0xffffffffu)
+            return static_cast<std::uint32_t>(value);
+        break;
+      case DecimalParse::Malformed:
+        fatal("command map line ", lineno, ": bad opcode '", token,
+              "' (want hex 0x.. or decimal)");
+      case DecimalParse::OutOfRange:
+        break;
+    }
+    fatal("command map line ", lineno, ": opcode '", token,
+          "' does not fit in 32 bits");
+}
+
+} // namespace
 
 void
 CommandMap::map(std::uint32_t opcode, bus::BusOp op)
@@ -66,15 +92,13 @@ CommandMap::parse(std::string_view text)
             if (tokens.size() != 3)
                 fatal("command map line ", lineno,
                       ": expected 'map <opcode> <OP>'");
-            cmap.map(static_cast<std::uint32_t>(
-                         std::stoul(tokens[1], nullptr, 0)),
+            cmap.map(parseOpcode(tokens[1], lineno),
                      bus::busOpFromName(tokens[2]));
         } else if (kind == "drop") {
             if (tokens.size() != 2)
                 fatal("command map line ", lineno,
                       ": expected 'drop <opcode>'");
-            cmap.drop(static_cast<std::uint32_t>(
-                std::stoul(tokens[1], nullptr, 0)));
+            cmap.drop(parseOpcode(tokens[1], lineno));
         } else if (kind == "unknown") {
             if (tokens.size() != 2 ||
                 (tokens[1] != "drop" && tokens[1] != "fatal")) {

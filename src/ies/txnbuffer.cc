@@ -37,47 +37,61 @@ TransactionBuffer::push(const bus::BusTransaction &txn)
     return true;
 }
 
+std::uint64_t
+TransactionBuffer::creditsAt(std::uint64_t credits, Cycle last,
+                             Cycle now) const
+{
+    if (now <= last)
+        return credits;
+    // An injected retirement stall suppresses credit earning for
+    // the stalled span; the span is skipped, never paid back.
+    Cycle from = last;
+    if (from < stallUntil_)
+        from = now < stallUntil_ ? now : stallUntil_;
+    if (now > from)
+        credits += (now - from) * throughputPercent_;
+    // Cap banked credits at one buffer's worth of retirements so an
+    // idle stretch cannot bank unbounded instant throughput.
+    const std::uint64_t cap = static_cast<std::uint64_t>(capacity_) * 100;
+    return credits > cap ? cap : credits;
+}
+
 void
 TransactionBuffer::earn(Cycle now)
 {
     if (now <= lastEarnCycle_)
         return;
-    // An injected retirement stall suppresses credit earning for
-    // the stalled span; the span is skipped, never paid back.
-    Cycle from = lastEarnCycle_;
-    if (from < stallUntil_)
-        from = now < stallUntil_ ? now : stallUntil_;
-    if (now > from)
-        credits_ += (now - from) * throughputPercent_;
+    credits_ = creditsAt(credits_, lastEarnCycle_, now);
     lastEarnCycle_ = now;
-    // Cap banked credits at one buffer's worth of retirements so an
-    // idle stretch cannot bank unbounded instant throughput.
-    const std::uint64_t cap = static_cast<std::uint64_t>(capacity_) * 100;
-    if (credits_ > cap)
-        credits_ = cap;
 }
 
 std::size_t
-TransactionBuffer::admissibleAt(Cycle now) const
+TransactionBuffer::admissiblePrefix(const bus::BusTransaction *txns,
+                                    std::size_t n) const
 {
-    // Virtual earn(now): identical span/stall/cap arithmetic, no
-    // mutation, so the probe is pure and repeatable.
+    // A copy of the pacing state, stepped record by record: earn up to
+    // the record's cycle, retire everything the credits cover, then
+    // push if a slot is free.
     std::uint64_t credits = credits_;
-    if (now > lastEarnCycle_) {
-        Cycle from = lastEarnCycle_;
-        if (from < stallUntil_)
-            from = now < stallUntil_ ? now : stallUntil_;
-        if (now > from)
-            credits += (now - from) * throughputPercent_;
-        const std::uint64_t cap = static_cast<std::uint64_t>(capacity_) * 100;
-        if (credits > cap)
-            credits = cap;
+    Cycle last = lastEarnCycle_;
+    std::size_t count = count_;
+    for (std::size_t i = 0; i < n; ++i) {
+        const bus::BusTransaction &txn = txns[i];
+        if (bus::isFilteredOp(txn.op))
+            continue;
+        if (txn.cycle > last) {
+            credits = creditsAt(credits, last, txn.cycle);
+            last = txn.cycle;
+        }
+        const std::uint64_t retired =
+            std::min<std::uint64_t>(count, credits / 100);
+        count -= static_cast<std::size_t>(retired);
+        credits -= retired * 100;
+        if (count >= effectiveCapacity(txn.cycle))
+            return i;
+        ++count;
     }
-    const std::size_t retirable =
-        static_cast<std::size_t>(std::min<std::uint64_t>(count_, credits / 100));
-    const std::size_t held = count_ - retirable;
-    const std::size_t cap = effectiveCapacity(now);
-    return held >= cap ? 0 : cap - held;
+    return n;
 }
 
 bus::BusTransaction

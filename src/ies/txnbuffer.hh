@@ -96,16 +96,20 @@ class TransactionBuffer
     }
 
     /**
-     * Mutation-free admission probe: how many further tenures arriving
-     * at bus cycle @p now this buffer could accept without a rejection
-     * — the free slots left once every entry retirable by @p now has
-     * drained. Mirrors the earn()/drain() arithmetic (stall windows,
-     * slot-loss capacity, the banked-credit cap) without touching any
-     * state, so a caller can meter admission *before* offering work:
-     * the IESSERV service layer prices its per-session feed credits
+     * Mutation-free admission probe: the longest prefix of the @p n
+     * tenures at @p txns this buffer would take, offered in order at
+     * their own stamped cycles, without a rejection. Steps a copy of
+     * the pacing state through earn()/drain()/push() one record at a
+     * time (stall windows, slot-loss capacity, the banked-credit cap)
+     * and skips filtered ops, as the board's address filter drops them
+     * before they reach the buffer. Exact for a fault-free board: the
+     * prefix is accepted whole and the next tenure would overflow.
+     * Commit-time faults change the buffer mid-line, which no probe
+     * can foresee. The IESSERV service layer prices paced feed lines
      * with this (docs/SERVICE.md).
      */
-    std::size_t admissibleAt(Cycle now) const;
+    std::size_t admissiblePrefix(const bus::BusTransaction *txns,
+                                 std::size_t n) const;
 
     /** Capacity minus any slot-loss fault active at bus cycle @p now. */
     std::size_t effectiveCapacity(Cycle now) const
@@ -181,6 +185,14 @@ class TransactionBuffer
   private:
     /** Earn drain credits for the span (lastEarnCycle_, now]. */
     void earn(Cycle now);
+
+    /**
+     * earn()'s arithmetic without the mutation: @p credits banked at
+     * bus cycle @p last, grown to cycle @p now (stalled spans earn
+     * nothing) and capped at one buffer's worth of retirements.
+     */
+    std::uint64_t creditsAt(std::uint64_t credits, Cycle last,
+                            Cycle now) const;
 
     /** Pop the head entry (caller has checked count_ and credits). */
     bus::BusTransaction popFront();

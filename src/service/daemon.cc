@@ -15,6 +15,14 @@
 namespace memories::service
 {
 
+namespace
+{
+
+/** Deferred retirements emulated between two checks for a request. */
+constexpr std::size_t deferredChunk = 64;
+
+} // namespace
+
 Daemon::Daemon(DaemonOptions options)
     : options_(std::move(options)),
       sampler_(options_.windowRequests ? options_.windowRequests : 1)
@@ -335,6 +343,12 @@ Daemon::serveClient(Slot &slot)
             wasEvicted = true;
             break;
         }
+        // Emulate what the feed deferred while no request waits, a
+        // chunk at a time, so a request arriving meanwhile is served
+        // first.
+        while (session.deferredRetirements() != 0 &&
+               !channel.inputWaiting())
+            session.emulateDeferred(deferredChunk);
     }
     if (slot.evict.load(std::memory_order_acquire) || wasEvicted)
         evicted_.fetch_add(1, std::memory_order_relaxed);

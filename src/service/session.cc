@@ -58,7 +58,7 @@ Session::Session(const SessionOptions &options, std::string name)
     : options_(options), name_(std::move(name)),
       bus_(std::make_unique<bus::Bus6xx>()),
       console_(std::make_unique<ies::Console>(*bus_)),
-      ingest_(options.maxBatch)
+      ingest_(options.maxBatch, /*defer_emulation=*/true)
 {
     ingest_.registerCommands(*console_);
     campaign::registerConsoleCommands(*console_);
@@ -100,6 +100,12 @@ Session::execute(const std::string &line)
     // tokens. tokens_ is reused from line to line, so a feed line's
     // record tokens overwrite the last one's in place.
     ies::splitTokens(line, tokens_);
+    // A feed replies once admitted and leaves its emulation queued;
+    // every other line, and a feed behind too long a queue, first
+    // emulates everything queued.
+    if (tokens_.empty() || tokens_[0] != "feed" ||
+        ingest_.deferredRetirements(*console_) > options_.maxBatch)
+        ingest_.settle(*console_);
     // Expand `script` here, not in the console: the console runs the
     // file's lines internally, which would bypass config recording
     // and leave a scripted session unable to resume. Routing each

@@ -68,8 +68,29 @@ class Session
      * Execute one request line and return the reply text ("error: ..."
      * for failures, like the console). Also maintains the config
      * script used by suspend and serves the `session` family.
+     *
+     * A `feed` line only admits (StreamIngest, deferred emulation):
+     * its reply is final, and its retirements wait for
+     * emulateDeferred(). Every other line, and a feed arriving with
+     * more than maxBatch retirements still queued, first emulates
+     * everything deferred, so no reply can tell the difference.
      */
     std::string execute(const std::string &line);
+
+    /** Retirements feed lines left queued (the most on any board). */
+    std::size_t deferredRetirements()
+    {
+        return ingest_.deferredRetirements(*console_);
+    }
+
+    /**
+     * Emulate up to @p max deferred retirements per board.
+     * @return true while any remain.
+     */
+    bool emulateDeferred(std::size_t max)
+    {
+        return ingest_.emulateDeferred(*console_, max);
+    }
 
     /**
      * Returns a copy under the name lock: the daemon reads session

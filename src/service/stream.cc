@@ -51,6 +51,10 @@ StreamIngest::addTwin(const ies::BoardConfig &config, std::uint64_t seed,
 std::string
 StreamIngest::resyncFromTwin(ies::MemoriesBoard &board)
 {
+    // A twin's directories are copied only once every retirement it owes
+    // has reached them; resyncFrom() settles the board itself.
+    for (const Twin &twin : twins_)
+        twin.board->emulateQueued();
     const std::uint64_t want = board.config().fingerprint();
     for (std::size_t i = 0; i < twins_.size(); ++i) {
         const ies::MemoriesBoard &twin = *twins_[i].board;
@@ -96,21 +100,49 @@ StreamIngest::restore(const State &state)
 }
 
 std::size_t
-StreamIngest::feedAttempted(ies::Console &console,
-                            const std::vector<bus::BusTransaction> &txns,
-                            std::string &notes)
+StreamIngest::deferredRetirements(ies::Console &console) const
 {
+    if (!console.initialized())
+        return 0;
+    std::size_t most = console.board()->queuedRetirements();
+    for (const Twin &twin : twins_)
+        most = std::max(most, twin.board->queuedRetirements());
+    return most;
+}
+
+bool
+StreamIngest::emulateDeferred(ies::Console &console, std::size_t max)
+{
+    if (!console.initialized())
+        return false;
+    bool left = console.board()->emulateQueued(max) != 0;
+    for (const Twin &twin : twins_)
+        left |= twin.board->emulateQueued(max) != 0;
+    return left;
+}
+
+std::size_t
+StreamIngest::feedAttempted(ies::Console &console,
+                            const bus::BusTransaction *txns, std::size_t n,
+                            bool defer, std::string &notes)
+{
+    // Deferred, a board only admits; a profiled board still emulates
+    // inline, so its feed_batch stage encloses the emulation.
+    auto feed = [&](ies::MemoriesBoard &board) {
+        return defer && !board.profiler() ? board.admitBatch(txns, n)
+                                          : board.feedBatch(txns, n);
+    };
     ies::MemoriesBoard &board = *console.board();
-    const std::size_t accepted = board.feedBatch(txns);
+    const std::size_t accepted = feed(board);
     // Twin boards see the identical attempted sequence (the session's
     // fan-out); their own buffers decide what they keep.
     for (const Twin &twin : twins_)
-        twin.board->feedBatch(txns);
+        feed(*twin.board);
 
-    refsAttempted_ += txns.size();
+    refsAttempted_ += n;
     refsAccepted_ += accepted;
-    overflowDrops_ += txns.size() - accepted;
-    prevCycle_ = txns.back().cycle;
+    overflowDrops_ += n - accepted;
+    prevCycle_ = txns[n - 1].cycle;
 
     // Health ladder: a quarantined board is pulled back from the first
     // healthy same-fingerprint twin; with no twin the session is done.
@@ -138,44 +170,36 @@ StreamIngest::handleFeed(ies::Console &console,
         fatal("feed of ", n, " records exceeds the session batch limit ",
               maxBatch_);
 
-    // Decode every record first, so a bad token anywhere rejects the
-    // whole line before any state changes.
-    raws_.clear();
+    // Unpack the whole line along the session's cycle chain, so a bad
+    // token anywhere rejects the line before any state changes.
+    txns_.clear();
+    Cycle prev = prevCycle_;
     for (std::size_t i = 1; i < tokens.size(); ++i) {
         const auto raw = decodeRecordHex(tokens[i]);
         if (!raw)
             fatal("bad record token '", tokens[i],
                   "' (want 16 lower-case hex digits)");
-        raws_.push_back(*raw);
+        txns_.push_back(trace::BusRecord(*raw).unpack(prev));
+        prev = txns_.back().cycle;
     }
 
     ++feedLines_;
     refsOffered_ += n;
 
-    // Admission: paced mode admits only what the credit-paced buffer
-    // could absorb at the head record's cycle; raw mode attempts the
-    // whole line exactly once (overflow drops and all).
-    std::size_t attempted = n;
-    if (paced_) {
-        const Cycle head =
-            prevCycle_ + trace::BusRecord(raws_[0]).cycleDelta();
-        attempted = std::min(attempted, board.bufferAdmissibleAt(head));
-    }
+    // Admission: paced mode admits the prefix the credit-paced buffer
+    // takes record by record at the records' own cycles; the tail is
+    // re-sent by the client. Raw mode attempts the whole line exactly
+    // once (overflow drops and all).
+    const std::size_t attempted =
+        paced_ ? board.admissiblePrefix(txns_.data(), n) : n;
     if (attempted == 0) {
         ++backpressure_;
         return "fed 0 accepted 0 of " + std::to_string(n);
     }
-
-    // Only the attempted prefix becomes transactions, unpacked along
-    // the session's cycle chain; the tail is re-sent by the client.
-    txns_.clear();
-    Cycle prev = prevCycle_;
-    for (std::size_t i = 0; i < attempted; ++i) {
-        txns_.push_back(trace::BusRecord(raws_[i]).unpack(prev));
-        prev = txns_.back().cycle;
-    }
     std::string notes;
-    const std::size_t accepted = feedAttempted(console, txns_, notes);
+    const std::size_t accepted =
+        feedAttempted(console, txns_.data(), attempted, deferEmulation_,
+                      notes);
     return "fed " + std::to_string(attempted) + " accepted " +
            std::to_string(accepted) + " of " + std::to_string(n) + notes;
 }
@@ -216,7 +240,8 @@ StreamIngest::replayFile(ies::Console &console, const std::string &path)
         refsOffered_ += chunk.size();
         ++feedLines_;
         replayed += chunk.size();
-        accepted += feedAttempted(console, chunk, notes);
+        accepted += feedAttempted(console, chunk.data(), chunk.size(),
+                                  false, notes);
     }
     std::string reply = "replayed " + std::to_string(replayed) +
                         " accepted " + std::to_string(accepted) +

@@ -27,13 +27,21 @@
  *
  * Admission control (paced mode, the default) reuses the board's
  * credit-paced transaction-buffer semantics: a feed line is admitted
- * only up to TransactionBuffer::admissibleAt(first record's cycle), so
- * an over-rate client exhausts credits and is *back-pressured* — told
- * to re-send the tail — rather than having references dropped. Raw
- * mode (`stream pace off`) attempts every record exactly once, making
- * the session byte-identical to an in-process feedBatch of the same
- * stream even when that stream overflows (drops and all); the
+ * up to the longest prefix the buffer takes record by record at the
+ * records' own cycles (TransactionBuffer::admissiblePrefix), so an
+ * in-rate line lands whole and an over-rate client is *back-pressured*
+ * — told to re-send the tail — rather than having references dropped.
+ * Raw mode (`stream pace off`) attempts every record exactly once,
+ * making the session byte-identical to an in-process feedBatch of the
+ * same stream even when that stream overflows (drops and all); the
  * conformance tier leans on this.
+ *
+ * Deferred emulation (an IESSERV session turns it on): a feed line
+ * runs only the boards' admission, which fixes its reply, and leaves
+ * the retirements it owes queued. The owner emulates them with
+ * emulateDeferred() between requests and must settle() before anything
+ * reads or copies board state (docs/SERVICE.md, "Reply before
+ * emulation").
  *
  * Health ladder: when a feed drives the board to Quarantined, the
  * ingest layer resyncs it from the first healthy same-fingerprint
@@ -60,9 +68,13 @@ namespace memories::service
 class StreamIngest
 {
   public:
-    /** @param max_batch Most records accepted on one feed line. */
-    explicit StreamIngest(std::size_t max_batch = 4096)
-        : maxBatch_(max_batch)
+    /**
+     * @param max_batch       Most records accepted on one feed line.
+     * @param defer_emulation Feed lines only admit; see emulateDeferred.
+     */
+    explicit StreamIngest(std::size_t max_batch = 4096,
+                          bool defer_emulation = false)
+        : maxBatch_(max_batch), deferEmulation_(defer_emulation)
     {
     }
 
@@ -124,6 +136,19 @@ class StreamIngest
     State state() const;
     void restore(const State &state);
 
+    /** Retirements feed lines left queued, the most on any board. */
+    std::size_t deferredRetirements(ies::Console &console) const;
+
+    /**
+     * Emulate up to @p max deferred retirements on the board and on
+     * each twin, oldest first.
+     * @return true while any remain.
+     */
+    bool emulateDeferred(ies::Console &console, std::size_t max);
+
+    /** Emulate every deferred retirement. */
+    void settle(ies::Console &console) { emulateDeferred(console, SIZE_MAX); }
+
     /**
      * Register the feed/drain/stream/fleet families on @p console.
      * The ingest object must outlive the console's use of them.
@@ -142,18 +167,24 @@ class StreamIngest
                             const std::vector<std::string> &tokens);
     std::string replayFile(ies::Console &console, const std::string &path);
 
-    /** Feed @p txns to the board and twins; handles the health ladder.
-     *  @return board-accepted count. */
+    /**
+     * Feed the @p n records at @p txns to the board and twins, only
+     * admitting them when @p defer; handles the health ladder.
+     * @return board-accepted count.
+     */
     std::size_t feedAttempted(ies::Console &console,
-                              const std::vector<bus::BusTransaction> &txns,
+                              const bus::BusTransaction *txns,
+                              std::size_t n, bool defer,
                               std::string &notes);
 
-    /** Resync @p board from the first healthy same-fingerprint twin.
+    /** Resync @p board from the first healthy same-fingerprint twin,
+     *  emulating every board's deferred retirements first.
      *  @return "resynced from twin <i> '<label>'", or "" when no twin
      *  qualifies. */
     std::string resyncFromTwin(ies::MemoriesBoard &board);
 
     std::size_t maxBatch_;
+    bool deferEmulation_;
     bool paced_ = true;
     Cycle prevCycle_ = 0;
     std::uint64_t refsOffered_ = 0;
@@ -167,9 +198,8 @@ class StreamIngest
 
     std::vector<Twin> twins_;
 
-    /** handleFeed's decoded records and admitted transactions, kept
-     *  from line to line so a feed allocates nothing once warm. */
-    std::vector<std::uint64_t> raws_;
+    /** handleFeed's unpacked line, kept from line to line so a feed
+     *  allocates nothing once warm. */
     std::vector<bus::BusTransaction> txns_;
 };
 

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -143,6 +144,15 @@ LineChannel::readLine(std::string &line)
             return false;
         buf_.append(chunk, static_cast<std::size_t>(got));
     }
+}
+
+bool
+LineChannel::inputWaiting()
+{
+    if (buf_.find('\n') != std::string::npos)
+        return true;
+    pollfd pfd{fd_, POLLIN, 0};
+    return ::poll(&pfd, 1, 0) > 0;
 }
 
 bool

@@ -84,6 +84,13 @@ class LineChannel
      */
     bool readLine(std::string &line);
 
+    /**
+     * True when the next readLine() has input to start on without
+     * blocking: a whole line already buffered, or bytes (or EOF)
+     * waiting on the socket.
+     */
+    bool inputWaiting();
+
     /** Write all of @p data. @return false when the peer is gone. */
     bool writeAll(const std::string &data);
 

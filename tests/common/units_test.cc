@@ -31,6 +31,39 @@ TEST(UnitsTest, RejectsGarbage)
     EXPECT_THROW(parseByteSize("12XB"), FatalError);
 }
 
+TEST(UnitsTest, ParseHexOrDecimalTakesA0xPrefixAndNothingElse)
+{
+    struct Case
+    {
+        const char *text;
+        DecimalParse want;
+        std::uint64_t value;
+    };
+    const Case cases[] = {
+        {"0", DecimalParse::Ok, 0},
+        {"010", DecimalParse::Ok, 10},
+        {"0x10", DecimalParse::Ok, 16},
+        {"0XfF", DecimalParse::Ok, 255},
+        {"0xffffffffffffffff", DecimalParse::Ok, ~std::uint64_t{0}},
+        {"0x10000000000000000", DecimalParse::OutOfRange, 0},
+        {"18446744073709551616", DecimalParse::OutOfRange, 0},
+        {"0x", DecimalParse::Malformed, 0},
+        {"x10", DecimalParse::Malformed, 0},
+        {"0x-1", DecimalParse::Malformed, 0},
+        {"-0x1", DecimalParse::Malformed, 0},
+        {"0x1g", DecimalParse::Malformed, 0},
+        {"0x 1", DecimalParse::Malformed, 0},
+        {"ff", DecimalParse::Malformed, 0},
+        {"", DecimalParse::Malformed, 0},
+    };
+    for (const Case &c : cases) {
+        std::uint64_t value = 12345;
+        EXPECT_EQ(parseHexOrDecimal(c.text, value), c.want) << c.text;
+        EXPECT_EQ(value, c.want == DecimalParse::Ok ? c.value : 12345u)
+            << c.text;
+    }
+}
+
 TEST(UnitsTest, ParseDecimalAcceptsOnlyUnsignedDigits)
 {
     struct Case

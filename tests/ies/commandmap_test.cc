@@ -82,6 +82,30 @@ TEST(CommandMapTest, ParseRejectsGarbage)
     EXPECT_THROW(CommandMap::parse("unknown maybe\n"), FatalError);
 }
 
+TEST(CommandMapTest, ParseRejectsBadOpcodes)
+{
+    // Each of these once escaped as std::invalid_argument or was
+    // silently truncated/wrapped to a 32-bit opcode.
+    EXPECT_THROW(CommandMap::parse("map zz READ\n"), FatalError);
+    EXPECT_THROW(CommandMap::parse("map 0x1ffffffff READ\n"), FatalError);
+    EXPECT_THROW(CommandMap::parse("drop -1\n"), FatalError);
+    EXPECT_THROW(CommandMap::parse("map 4294967296 READ\n"), FatalError);
+    EXPECT_THROW(CommandMap::parse("map 0x READ\n"), FatalError);
+    EXPECT_THROW(CommandMap::parse("drop +3\n"), FatalError);
+    EXPECT_THROW(CommandMap::parse("drop 0x1g\n"), FatalError);
+
+    // The widest opcodes still parse, in hex and in decimal; a leading
+    // zero is decimal, not octal.
+    const auto cmap = CommandMap::parse("map 0xffffffff READ\n"
+                                        "map 4294967294 RWITM\n"
+                                        "map 0XaB WB\n"
+                                        "drop 010\n");
+    EXPECT_EQ(*cmap.translate(0xffffffffu), bus::BusOp::Read);
+    EXPECT_EQ(*cmap.translate(0xfffffffeu), bus::BusOp::Rwitm);
+    EXPECT_EQ(*cmap.translate(0xab), bus::BusOp::WriteBack);
+    EXPECT_FALSE(cmap.translate(10).has_value());
+}
+
 TEST(CommandMapTest, P6MapCoversTheBasics)
 {
     const auto cmap = makeP6BusCommandMap();

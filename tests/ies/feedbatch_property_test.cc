@@ -6,6 +6,11 @@
  * transaction at a time — acceptance flags, counters, directories,
  * and buffer statistics alike.
  *
+ * The same file proves the two halves feedBatch is built from: the
+ * buffer's admissiblePrefix probe is exact on a fault-free line, and
+ * admitBatch with emulateQueued run later, in any chunking, matches
+ * feedBatch.
+ *
  * A divergence does not just fail: it is handed to the oracle's
  * delta-debugging shrinker (oracle::shrinkStream), so the log carries
  * a minimal reproducing stream instead of a 4000-transaction haystack.
@@ -18,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "common/random.hh"
+#include "fault/injector.hh"
 #include "ies/board.hh"
 #include "oracle/stimulus.hh"
 
@@ -218,6 +225,139 @@ TEST(FeedBatchPropertyTest, PacedBufferStaysEquivalent)
                              "paced seed " + std::to_string(seed) +
                                  " batch " + std::to_string(batch));
         }
+    }
+}
+
+TEST(FeedBatchPropertyTest, AdmissiblePrefixIsExactOnAFaultFreeLine)
+{
+    // Random gaps (bursts to sparse), filtered ops, buffer sizes and
+    // drain rates, with a stall and a slot-loss window left open by a
+    // warm-up run. Each line's probed prefix must be taken whole by
+    // feedBatch, and the next record must overflow.
+    std::size_t clamped = 0, whole = 0;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        Rng rng(seed);
+        BoardConfig cfg = makeUniformBoard(
+            2, 4,
+            cache::CacheConfig{2 * MiB, 4, 128,
+                               cache::ReplacementPolicy::LRU});
+        const std::size_t sizes[] = {4, 12, 64};
+        const unsigned rates[] = {10, 42, 100};
+        cfg.bufferEntries = sizes[rng.nextBounded(3)];
+        cfg.sdramThroughputPercent = rates[rng.nextBounded(3)];
+
+        oracle::StimulusParams p;
+        p.seed = seed;
+        p.count = 3000;
+        p.maxGap = 1 + static_cast<unsigned>(rng.nextBounded(12));
+        p.pBurst = 0.1 * static_cast<double>(rng.nextBounded(8));
+        p.pFiltered = 0.2;
+        const auto txns = oracle::StimulusGen(p).generate();
+
+        fault::FaultPlan plan;
+        fault::FaultSpec stall;
+        stall.kind = fault::FaultKind::RetirementStall;
+        stall.atTenure = 1 + rng.nextBounded(200);
+        stall.cycles = 1 + rng.nextBounded(400);
+        fault::FaultSpec slots;
+        slots.kind = fault::FaultKind::SlotLoss;
+        slots.atTenure = 1 + rng.nextBounded(200);
+        slots.slots = 1 + rng.nextBounded(cfg.bufferEntries);
+        slots.cycles = 1 + rng.nextBounded(2000);
+        plan.faults = {stall, slots};
+
+        MemoriesBoard board(cfg);
+        fault::FaultInjector injector(plan, seed);
+        board.attachFaultInjector(injector);
+        const std::size_t warm = 300;
+        board.feedBatch(txns.data(), warm);
+        board.detachFaultInjector();
+
+        std::vector<char> flags(txns.size());
+        for (std::size_t at = warm; at < txns.size();) {
+            const std::size_t n = std::min<std::size_t>(
+                1 + rng.nextBounded(300), txns.size() - at);
+            const std::size_t k = board.admissiblePrefix(&txns[at], n);
+            const std::string what = "seed " + std::to_string(seed) +
+                                     " line at " + std::to_string(at);
+            const std::uint64_t retries = board.retriesPosted();
+            EXPECT_EQ(board.feedBatch(&txns[at], k,
+                                      reinterpret_cast<bool *>(
+                                          flags.data())),
+                      k)
+                << what;
+            EXPECT_EQ(board.retriesPosted(), retries) << what;
+            if (k == n) {
+                ++whole;
+                at += n;
+                continue;
+            }
+            ++clamped;
+            EXPECT_EQ(board.feedBatch(&txns[at + k], 1), 0u)
+                << what << ": record " << k << " should overflow";
+            EXPECT_EQ(board.retriesPosted(), retries + 1) << what;
+            at += k + 1;
+        }
+    }
+    // Both outcomes must actually have been exercised.
+    EXPECT_GT(clamped, 50u);
+    EXPECT_GT(whole, 50u);
+}
+
+TEST(FeedBatchPropertyTest, DeferredEmulationMatchesFeedBatch)
+{
+    // admitBatch leaves retirements queued; emulating them later, in
+    // chunks or behind a feedCommitted, drainAll or further batch,
+    // must leave the board exactly where feedBatch leaves it.
+    BoardConfig cfg = makeUniformBoard(
+        2, 4,
+        cache::CacheConfig{2 * MiB, 4, 128,
+                           cache::ReplacementPolicy::LRU});
+    cfg.bufferEntries = 32;
+    cfg.sdramThroughputPercent = 42;
+    for (std::uint64_t seed : {4u, 29u}) {
+        const auto txns = propertyStream(seed);
+        MemoriesBoard golden(cfg);
+        std::vector<std::uint8_t> goldenFlags;
+        MemoriesBoard deferred(cfg);
+        std::vector<std::uint8_t> deferredFlags;
+        std::vector<char> flags(txns.size());
+        Rng rng(seed);
+        std::size_t queuedSeen = 0;
+        for (std::size_t at = 0; at < txns.size();) {
+            const std::size_t n = std::min<std::size_t>(
+                1 + rng.nextBounded(200), txns.size() - at);
+            bool *f = reinterpret_cast<bool *>(flags.data());
+            golden.feedBatch(&txns[at], n, f);
+            goldenFlags.insert(goldenFlags.end(), flags.begin(),
+                               flags.begin() + n);
+            switch (rng.nextBounded(4)) {
+              case 0: // a single tenure settles the queue first
+                deferredFlags.push_back(deferred.feedCommitted(txns[at]));
+                deferred.admitBatch(&txns[at + 1], n - 1, f);
+                deferredFlags.insert(deferredFlags.end(), flags.begin(),
+                                     flags.begin() + (n - 1));
+                break;
+              default:
+                deferred.admitBatch(&txns[at], n, f);
+                deferredFlags.insert(deferredFlags.end(), flags.begin(),
+                                     flags.begin() + n);
+                break;
+            }
+            queuedSeen = std::max(queuedSeen,
+                                  deferred.queuedRetirements());
+            // Emulate part of the backlog, or none of it.
+            deferred.emulateQueued(rng.nextBounded(3) * 64);
+            at += n;
+        }
+        golden.drainAll();
+        deferred.drainAll();
+        EXPECT_EQ(deferred.queuedRetirements(), 0u);
+        EXPECT_GT(queuedSeen, 64u) << "seed " << seed;
+        const FeedOutcome want = outcomeOf(golden, goldenFlags);
+        const FeedOutcome got = outcomeOf(deferred, deferredFlags);
+        EXPECT_TRUE(want == got)
+            << "seed " << seed << ": " << firstDifference(want, got);
     }
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * Admission-control tier: paced sessions price every feed line with
- * the credit-paced buffer's admission probe. An over-rate client is
- * back-pressured — credits exhaust, the daemon clamps or refuses the
- * line, nothing is dropped, lost_inflight stays 0 — while a
+ * the credit-paced buffer's admission probe, record by record. An
+ * over-rate client is back-pressured — the daemon clamps or refuses
+ * the line, nothing is dropped, lost_inflight stays 0 — while a
  * concurrent in-rate session is entirely unaffected (its board stays
  * byte-identical to its solo golden run).
  */
@@ -12,6 +12,7 @@
 
 #include "servicetest.hh"
 
+#include <cstdio>
 #include <thread>
 
 #include "trace/record.hh"
@@ -69,6 +70,55 @@ std::string
 feedLine(const std::vector<Cycle> &cycles, Cycle &prev)
 {
     return joinFeed(recordTokens(cycles, prev), " ");
+}
+
+/**
+ * Upload @p txns in feed lines of up to @p batch records the way a bus
+ * master answers a retry: the refused record is re-issued @p backoff
+ * cycles later, and every record behind it slips by as much. A
+ * verbatim re-send, as ServiceClient::feedAll makes, could never land
+ * here: the refused record keeps its cycle, and the buffer drains only
+ * as the stream's cycles advance.
+ */
+FeedTotals
+feedWithBusRetries(ServiceClient &client,
+                   std::vector<bus::BusTransaction> txns,
+                   std::size_t batch, Cycle backoff)
+{
+    FeedTotals totals;
+    totals.offered = txns.size();
+    Cycle prev = 0;
+    for (std::size_t next = 0; next < txns.size();) {
+        const std::size_t n = std::min(batch, txns.size() - next);
+        std::string line = "feed";
+        Cycle chain = prev;
+        for (std::size_t i = next; i < next + n; ++i) {
+            line += ' ';
+            appendRecordHex(line,
+                            trace::BusRecord::pack(txns[i], chain).raw);
+            chain = txns[i].cycle;
+        }
+        const Reply reply = client.exec(line);
+        ++totals.feedLines;
+        unsigned long long fed = 0, accepted = 0, of = 0;
+        if (!reply.ok ||
+            std::sscanf(reply.text().c_str(),
+                        "fed %llu accepted %llu of %llu", &fed, &accepted,
+                        &of) != 3) {
+            ADD_FAILURE() << "feed failed: " << reply.text();
+            break;
+        }
+        totals.accepted += accepted;
+        if (fed > 0)
+            prev = txns[next + fed - 1].cycle;
+        next += fed;
+        if (fed < n) {
+            ++totals.resends;
+            for (std::size_t i = next; i < txns.size(); ++i)
+                txns[i].cycle += backoff;
+        }
+    }
+    return totals;
 }
 
 /** A session's `stream status` text plus its board signature. */
@@ -207,16 +257,32 @@ TEST(ServiceAdmissionTest, TabSeparatedCrlfFeedLineGetsTheSpacedReply)
 
 TEST(ServiceAdmissionTest, OverRateClientDoesNotPerturbInRatePeer)
 {
-    const auto overrate = stream(/*seed=*/21, /*count=*/8'000);
+    // Session A's stream arrives four times as densely as the stimulus
+    // generator's (about 0.8 tenures per cycle against a 42% drain),
+    // so a 12-entry buffer takes only a short prefix of each line.
+    auto overrate = stream(/*seed=*/21, /*count=*/8'000);
+    for (auto &txn : overrate)
+        txn.cycle /= 4;
     const auto inrate = stream(/*seed=*/22, /*count=*/8'000);
     const auto golden = goldenRun(configScript(), canonical(inrate));
 
-    TestDaemon daemon;
-
-    // Session A: a tiny buffer and huge offered batches — every line
-    // is clamped to what admission allows at the head cycle.
+    // Session A: a tiny buffer and huge offered batches.
     auto tight = configScript();
     tight[4] = "buffer 12";
+    {
+        // Over-rate in fact: the buffer cannot take the stream as is.
+        bus::Bus6xx bus;
+        ies::Console console(bus);
+        for (const auto &line : tight)
+            ASSERT_EQ(console.execute(line).rfind("error:", 0),
+                      std::string::npos);
+        const auto canon = canonical(overrate);
+        EXPECT_LT(console.board()->admissiblePrefix(canon.data(),
+                                                    canon.size()),
+                  canon.size() / 100);
+    }
+
+    TestDaemon daemon;
     ServiceClient a;
     ASSERT_TRUE(a.connect(daemon.socket()));
     configureSession(a, tight);
@@ -227,7 +293,10 @@ TEST(ServiceAdmissionTest, OverRateClientDoesNotPerturbInRatePeer)
     configureSession(b, configScript());
 
     FeedTotals ta, tb;
-    std::thread feedA([&] { ta = a.feedAll(overrate, /*batch=*/512); });
+    std::thread feedA([&] {
+        ta = feedWithBusRetries(a, overrate, /*batch=*/512,
+                                /*backoff=*/32);
+    });
     std::thread feedB([&] { tb = b.feedAll(inrate, /*batch=*/256); });
     feedA.join();
     feedB.join();

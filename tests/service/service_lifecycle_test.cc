@@ -14,6 +14,8 @@
 
 #include "checkpoint/io.hh"
 #include "service/session.hh"
+#include "service/wire.hh"
+#include "trace/record.hh"
 
 namespace memories::service
 {
@@ -263,6 +265,129 @@ TEST(ServiceLifecycleTest, ResumeOfUnknownSessionFailsClosed)
     // The session is still usable after the failed resume.
     configureSession(client, configScript());
     EXPECT_TRUE(client.exec("session status").ok);
+}
+
+TEST(ServiceLifecycleTest, FeedRepliesBeforeEmulatingButNoReaderSeesIt)
+{
+    // In process: a feed line leaves its retirements queued on the
+    // board and on the twin; the next non-feed line emulates them.
+    const auto raw = stream(/*seed=*/16, /*count=*/600);
+    {
+        SessionOptions options;
+        options.stateDir = uniquePath("iesserv-defer");
+        Session session(options, "defer");
+        for (const auto &line : configScript())
+            ASSERT_EQ(session.execute(line).rfind("error:", 0),
+                      std::string::npos);
+        ASSERT_EQ(session.execute("fleet add shadow 7").rfind("error:", 0),
+                  std::string::npos);
+        std::string line = "feed";
+        Cycle prev = 0;
+        for (const auto &txn : raw) {
+            line += ' ' + encodeRecordHex(
+                              trace::BusRecord::pack(txn, prev).raw);
+            prev = txn.cycle;
+        }
+        EXPECT_EQ(session.execute(line), "fed 600 accepted 600 of 600");
+        EXPECT_GT(session.deferredRetirements(), 500u);
+        EXPECT_GT(session.console().board()->queuedRetirements(), 500u);
+        EXPECT_GT(session.ingest().twins()[0].board->queuedRetirements(),
+                  500u);
+        EXPECT_TRUE(session.emulateDeferred(64));
+        EXPECT_GT(session.deferredRetirements(), 400u);
+        session.execute("stream status");
+        EXPECT_EQ(session.deferredRetirements(), 0u);
+        EXPECT_FALSE(session.emulateDeferred(64));
+    }
+
+    // Over the wire: feed lines interleaved with every read family, on
+    // a session with a twin, reading right behind the last feed reply
+    // (while the daemon is still emulating), each compared with an
+    // in-process console fed the same records by feedBatch.
+    const auto big = stream(/*seed=*/17, /*count=*/14'000);
+    const auto canon = canonical(big);
+    bus::Bus6xx goldenBus;
+    ies::Console golden(goldenBus);
+    for (const auto &line : configScript())
+        ASSERT_EQ(golden.execute(line).rfind("error:", 0),
+                  std::string::npos);
+
+    TestDaemon daemon;
+    auto client = std::make_unique<ServiceClient>();
+    ASSERT_TRUE(client->connect(daemon.socket()));
+    configureSession(*client, configScript());
+    ASSERT_TRUE(client->exec("fleet add shadow 7").ok);
+    ASSERT_TRUE(client->exec("session name interleave").ok);
+
+    const std::vector<std::string> reads = {
+        "stats", "counters", "stream status", "save-state",
+        "fleet counters 0", "session suspend", "stats", "drain",
+        "counters", "save-state"};
+    const std::size_t segment = canon.size() / reads.size();
+    std::size_t at = 0;
+    for (const std::string &read : reads) {
+        const std::vector<bus::BusTransaction> part(
+            big.begin() + static_cast<std::ptrdiff_t>(at),
+            big.begin() + static_cast<std::ptrdiff_t>(at + segment));
+        const auto totals = client->feedAll(part, /*batch=*/256);
+        ASSERT_EQ(totals.accepted, part.size()) << "before " << read;
+        golden.board()->feedBatch(&canon[at], segment);
+        at += segment;
+        const std::string what = "'" + read + "' after " +
+                                 std::to_string(at) + " records";
+
+        if (read == "save-state") {
+            const auto path = uniquePath("iesserv-defer") + ".ckpt";
+            const auto goldenPath = uniquePath("iesserv-defer") + ".ckpt";
+            ASSERT_TRUE(client->exec("save-state " + path).ok) << what;
+            golden.execute("save-state " + goldenPath);
+            EXPECT_TRUE(readFileBytes(path) == readFileBytes(goldenPath))
+                << what << ": checkpoint bytes differ";
+            std::remove(path.c_str());
+            std::remove(goldenPath.c_str());
+        } else if (read == "fleet counters 0") {
+            EXPECT_EQ(client->exec(read).text(),
+                      chomp(golden.board()->dumpStats()))
+                << what;
+        } else if (read == "stream status") {
+            const std::string n = std::to_string(at);
+            EXPECT_NE(client->exec(read).text().find(
+                          "offered " + n + " attempted " + n +
+                          " accepted " + n),
+                      std::string::npos)
+                << what;
+        } else if (read == "session suspend") {
+            ASSERT_TRUE(client->exec(read).ok) << what;
+            client = std::make_unique<ServiceClient>();
+            ASSERT_TRUE(client->connect(daemon.socket()));
+            ASSERT_TRUE(client->exec("session resume interleave").ok);
+            client->setChainCycle(big[at - 1].cycle);
+            EXPECT_EQ(client->exec("counters").text(),
+                      chomp(golden.execute("counters")))
+                << what << ", resumed";
+        } else if (read == "drain") {
+            golden.board()->drainAll();
+            EXPECT_EQ(client->exec(read).text(),
+                      "drained buffer 0 retired " +
+                          std::to_string(golden.board()->bufferRetired()))
+                << what;
+        } else {
+            EXPECT_EQ(client->exec(read).text(), chomp(golden.execute(read)))
+                << what;
+        }
+    }
+    sessionSignature(*client).expectEqual(
+        {chomp(golden.execute("counters")), chomp(golden.execute("stats")),
+         [&] {
+             const auto path = uniquePath("iesserv-defer") + ".ckpt";
+             golden.execute("save-state " + path);
+             const std::string bytes = readFileBytes(path);
+             std::remove(path.c_str());
+             return bytes;
+         }()},
+        "interleaved session");
+    EXPECT_EQ(client->exec("fleet counters 0").text(),
+              chomp(golden.board()->dumpStats()));
 }
 
 } // namespace
