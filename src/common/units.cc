@@ -29,8 +29,12 @@ parseDecimal(std::string_view text, std::uint64_t &value)
 DecimalParse
 parseHexOrDecimal(std::string_view text, std::uint64_t &value)
 {
-    if (text.size() < 2 || text[0] != '0' || (text[1] != 'x' && text[1] != 'X'))
+    if (text.size() < 2 || text[0] != '0')
         return parseDecimal(text, value);
+    // A multi-digit token led by 0 is octal to strtoul: refuse it rather
+    // than read it as a different number.
+    if (text[1] != 'x' && text[1] != 'X')
+        return DecimalParse::Malformed;
     const std::string_view digits = text.substr(2);
     if (digits.empty() ||
         digits.find_first_not_of("0123456789abcdefABCDEF") !=

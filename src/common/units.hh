@@ -37,7 +37,9 @@ DecimalParse parseDecimal(std::string_view text, std::uint64_t &value);
 /**
  * parseDecimal(), or, after a "0x"/"0X" prefix, one or more hex digits
  * (either case): no sign, no whitespace, no overflow, and no octal (a
- * leading 0 is still decimal). @p value is written only on Ok.
+ * decimal token of more than one digit must not start with 0, so
+ * "010" is Malformed rather than 8 or 10). @p value is written only
+ * on Ok.
  */
 DecimalParse parseHexOrDecimal(std::string_view text, std::uint64_t &value);
 

@@ -165,6 +165,11 @@ MemoriesBoard::resyncFrom(const MemoriesBoard &healthy)
 {
     if (&healthy == this)
         fatal("a board cannot resync from itself");
+    // The source's directories are copied as they stand, so every
+    // retirement it has admitted must have reached them.
+    if (healthy.queuedRetirements() != 0)
+        fatal("resync source has ", healthy.queuedRetirements(),
+              " retirements still queued for emulation");
     if (healthy.nodes_.size() != nodes_.size()) {
         fatal("resync source has ", healthy.nodes_.size(),
               " nodes but this board has ", nodes_.size());

@@ -339,7 +339,8 @@ class MemoriesBoard : public bus::BusSnooper, public bus::BusObserver
      * counters stay (a resynced board keeps its own history, unlike a
      * checkpoint restore), stale buffered tenures predate the new
      * directories and are discarded (counted as lost in flight), and
-     * health returns to Healthy.
+     * health returns to Healthy. Like saveState(), it refuses a source
+     * with retirements still queued (admitBatch()).
      */
     void resyncFrom(const MemoriesBoard &healthy);
 

@@ -25,7 +25,7 @@ parseOpcode(const std::string &token, int lineno)
         break;
       case DecimalParse::Malformed:
         fatal("command map line ", lineno, ": bad opcode '", token,
-              "' (want hex 0x.. or decimal)");
+              "' (want hex 0x.. or decimal without a leading 0)");
       case DecimalParse::OutOfRange:
         break;
     }

@@ -346,9 +346,9 @@ Daemon::serveClient(Slot &slot)
         // Emulate what the feed deferred while no request waits, a
         // chunk at a time, so a request arriving meanwhile is served
         // first.
-        while (session.deferredRetirements() != 0 &&
-               !channel.inputWaiting())
-            session.emulateDeferred(deferredChunk);
+        bool left = true;
+        while (left && !channel.inputWaiting())
+            left = session.emulateDeferred(deferredChunk);
     }
     if (slot.evict.load(std::memory_order_acquire) || wasEvicted)
         evicted_.fetch_add(1, std::memory_order_relaxed);

@@ -58,7 +58,7 @@ Session::Session(const SessionOptions &options, std::string name)
     : options_(options), name_(std::move(name)),
       bus_(std::make_unique<bus::Bus6xx>()),
       console_(std::make_unique<ies::Console>(*bus_)),
-      ingest_(options.maxBatch, /*defer_emulation=*/true)
+      ingest_(options.maxBatch)
 {
     ingest_.registerCommands(*console_);
     campaign::registerConsoleCommands(*console_);

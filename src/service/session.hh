@@ -77,12 +77,6 @@ class Session
      */
     std::string execute(const std::string &line);
 
-    /** Retirements feed lines left queued (the most on any board). */
-    std::size_t deferredRetirements()
-    {
-        return ingest_.deferredRetirements(*console_);
-    }
-
     /**
      * Emulate up to @p max deferred retirements per board.
      * @return true while any remain.

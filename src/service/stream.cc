@@ -51,8 +51,8 @@ StreamIngest::addTwin(const ies::BoardConfig &config, std::uint64_t seed,
 std::string
 StreamIngest::resyncFromTwin(ies::MemoriesBoard &board)
 {
-    // A twin's directories are copied only once every retirement it owes
-    // has reached them; resyncFrom() settles the board itself.
+    // resyncFrom() refuses a source with retirements still queued, and
+    // settles the board itself.
     for (const Twin &twin : twins_)
         twin.board->emulateQueued();
     const std::uint64_t want = board.config().fingerprint();
@@ -198,7 +198,7 @@ StreamIngest::handleFeed(ies::Console &console,
     }
     std::string notes;
     const std::size_t accepted =
-        feedAttempted(console, txns_.data(), attempted, deferEmulation_,
+        feedAttempted(console, txns_.data(), attempted, /*defer=*/true,
                       notes);
     return "fed " + std::to_string(attempted) + " accepted " +
            std::to_string(accepted) + " of " + std::to_string(n) + notes;

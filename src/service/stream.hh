@@ -36,9 +36,9 @@
  * same stream even when that stream overflows (drops and all); the
  * conformance tier leans on this.
  *
- * Deferred emulation (an IESSERV session turns it on): a feed line
- * runs only the boards' admission, which fixes its reply, and leaves
- * the retirements it owes queued. The owner emulates them with
+ * Deferred emulation: a feed line runs only the boards' admission,
+ * which fixes its reply, and leaves the retirements it owes queued.
+ * The console's owner (service::Session) emulates them with
  * emulateDeferred() between requests and must settle() before anything
  * reads or copies board state (docs/SERVICE.md, "Reply before
  * emulation").
@@ -68,13 +68,9 @@ namespace memories::service
 class StreamIngest
 {
   public:
-    /**
-     * @param max_batch       Most records accepted on one feed line.
-     * @param defer_emulation Feed lines only admit; see emulateDeferred.
-     */
-    explicit StreamIngest(std::size_t max_batch = 4096,
-                          bool defer_emulation = false)
-        : maxBatch_(max_batch), deferEmulation_(defer_emulation)
+    /** @param max_batch Most records accepted on one feed line. */
+    explicit StreamIngest(std::size_t max_batch = 4096)
+        : maxBatch_(max_batch)
     {
     }
 
@@ -184,7 +180,6 @@ class StreamIngest
     std::string resyncFromTwin(ies::MemoriesBoard &board);
 
     std::size_t maxBatch_;
-    bool deferEmulation_;
     bool paced_ = true;
     Cycle prevCycle_ = 0;
     std::uint64_t refsOffered_ = 0;

@@ -41,7 +41,11 @@ TEST(UnitsTest, ParseHexOrDecimalTakesA0xPrefixAndNothingElse)
     };
     const Case cases[] = {
         {"0", DecimalParse::Ok, 0},
-        {"010", DecimalParse::Ok, 10},
+        {"7", DecimalParse::Ok, 7},
+        {"10", DecimalParse::Ok, 10},
+        {"010", DecimalParse::Malformed, 0},
+        {"00", DecimalParse::Malformed, 0},
+        {"0x010", DecimalParse::Ok, 16},
         {"0x10", DecimalParse::Ok, 16},
         {"0XfF", DecimalParse::Ok, 255},
         {"0xffffffffffffffff", DecimalParse::Ok, ~std::uint64_t{0}},

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "common/logging.hh"
 #include "fault/injector.hh"
@@ -259,6 +260,31 @@ TEST(BoardFaultTest, QuarantinedBoardResyncsFromHealthyBoard)
     ASSERT_TRUE(sick.feedCommitted(readAt(0, 1000000)));
     sick.drainAll();
     EXPECT_EQ(sick.node(0).stats().localHits, 1u);
+}
+
+TEST(BoardFaultTest, ResyncRefusesASourceWithQueuedRetirements)
+{
+    MemoriesBoard healthy(boardWithBuffer(512));
+    std::vector<bus::BusTransaction> txns;
+    for (std::uint64_t i = 0; i < 32; ++i)
+        txns.push_back(readAt(i * 128, i * 1000));
+    healthy.admitBatch(txns.data(), txns.size());
+    ASSERT_GT(healthy.queuedRetirements(), 0u);
+
+    MemoriesBoard sick(degradingConfig());
+    for (std::uint64_t i = 0; i < 8; ++i)
+        sick.feedCommitted(readAt(i * 256, 0));
+    ASSERT_EQ(sick.healthState(), fault::HealthState::Quarantined);
+
+    // The source's directories lack what it has admitted: the resync
+    // fails before the sick board is touched.
+    EXPECT_THROW(sick.resyncFrom(healthy), FatalError);
+    EXPECT_EQ(sick.healthState(), fault::HealthState::Quarantined);
+    EXPECT_EQ(sick.tenuresLostInflight(), 0u);
+
+    healthy.emulateQueued();
+    sick.resyncFrom(healthy);
+    EXPECT_EQ(sick.healthState(), fault::HealthState::Healthy);
 }
 
 TEST(BoardFaultTest, ResyncRejectsMismatchedGeometry)

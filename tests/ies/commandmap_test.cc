@@ -93,16 +93,19 @@ TEST(CommandMapTest, ParseRejectsBadOpcodes)
     EXPECT_THROW(CommandMap::parse("map 0x READ\n"), FatalError);
     EXPECT_THROW(CommandMap::parse("drop +3\n"), FatalError);
     EXPECT_THROW(CommandMap::parse("drop 0x1g\n"), FatalError);
+    // Once octal (opcode 8): now refused rather than read as 10.
+    EXPECT_THROW(CommandMap::parse("drop 010\n"), FatalError);
 
-    // The widest opcodes still parse, in hex and in decimal; a leading
-    // zero is decimal, not octal.
+    // The widest opcodes still parse, in hex and in decimal.
     const auto cmap = CommandMap::parse("map 0xffffffff READ\n"
                                         "map 4294967294 RWITM\n"
                                         "map 0XaB WB\n"
-                                        "drop 010\n");
+                                        "map 0 READ\n"
+                                        "drop 10\n");
     EXPECT_EQ(*cmap.translate(0xffffffffu), bus::BusOp::Read);
     EXPECT_EQ(*cmap.translate(0xfffffffeu), bus::BusOp::Rwitm);
     EXPECT_EQ(*cmap.translate(0xab), bus::BusOp::WriteBack);
+    EXPECT_EQ(*cmap.translate(0), bus::BusOp::Read);
     EXPECT_FALSE(cmap.translate(10).has_value());
 }
 

@@ -289,14 +289,16 @@ TEST(ServiceLifecycleTest, FeedRepliesBeforeEmulatingButNoReaderSeesIt)
             prev = txn.cycle;
         }
         EXPECT_EQ(session.execute(line), "fed 600 accepted 600 of 600");
-        EXPECT_GT(session.deferredRetirements(), 500u);
-        EXPECT_GT(session.console().board()->queuedRetirements(), 500u);
-        EXPECT_GT(session.ingest().twins()[0].board->queuedRetirements(),
-                  500u);
+        const ies::MemoriesBoard &board = *session.console().board();
+        const ies::MemoriesBoard &twin = *session.ingest().twins()[0].board;
+        EXPECT_GT(board.queuedRetirements(), 500u);
+        EXPECT_GT(twin.queuedRetirements(), 500u);
         EXPECT_TRUE(session.emulateDeferred(64));
-        EXPECT_GT(session.deferredRetirements(), 400u);
+        EXPECT_GT(board.queuedRetirements(), 400u);
+        EXPECT_GT(twin.queuedRetirements(), 400u);
         session.execute("stream status");
-        EXPECT_EQ(session.deferredRetirements(), 0u);
+        EXPECT_EQ(board.queuedRetirements(), 0u);
+        EXPECT_EQ(twin.queuedRetirements(), 0u);
         EXPECT_FALSE(session.emulateDeferred(64));
     }
 
